@@ -2,10 +2,10 @@
 // fig10/fig11-style batch-greedy operator comparison.
 //
 // Kernel arms time K independent scalar solves against one batched call for
-// each kernel family (tridiagonal, RK4 ODE march, quadrature refinement)
-// across batch widths K in {1, 4, 8, 16, 32}. Each measurement takes the min
-// wall time over repetitions with the inner repeat count autoscaled so the
-// scalar arm resolves ~1% differences.
+// each kernel family (tridiagonal, RK4 ODE march, quadrature refinement,
+// 1D PDE march) across batch widths K in {1, 4, 8, 16, 32}. Each
+// measurement takes the min wall time over repetitions with the inner
+// repeat count autoscaled so the scalar arm resolves ~1% differences.
 //
 // The operator arms run a MAX aggregate (the fig11 shape) and a MIN
 // aggregate over the same portfolio (a fig10-style stress that walks the
@@ -17,7 +17,8 @@
 //   * tridiagonal batch speedup >= 1.5x scalar at K >= 8 -- enforced only
 //     when the AVX2 path is compiled in and active (the portable SoA
 //     fallback is about scalar-speed by design; it exists for bit-identical
-//     semantics, not speed) -- report-only otherwise;
+//     semantics, not speed) -- report-only otherwise, and for every other
+//     kernel family;
 //   * batch-greedy K=8 total work within 10% of K=1 on both operator arms.
 // Writes BENCH_simd.json.
 
@@ -35,6 +36,7 @@
 #include "common/work_meter.h"
 #include "numeric/integration.h"
 #include "numeric/ode_ivp.h"
+#include "numeric/pde_solver.h"
 #include "numeric/tridiagonal.h"
 #include "operators/min_max.h"
 #include "vao/integral_result_object.h"
@@ -48,6 +50,7 @@ using vaolib::WorkMeter;
 constexpr int kReps = 5;
 constexpr std::size_t kRows = 96;  // tridiagonal system size
 constexpr int kOdeSteps = 64;
+const vaolib::numeric::PdeGrid kPdeGrid{64, 64};
 constexpr double kSpeedupGate = 1.5;
 constexpr double kWorkGate = 0.10;
 
@@ -131,6 +134,47 @@ KernelTimes TimeTridiagonal(std::size_t k) {
     const auto status = vaolib::numeric::SolveTridiagonalBatch(
         batch, &solutions, &report, &batch_scratch);
     if (!status.ok()) std::abort();
+  };
+
+  const int inner = AutoInner(scalar_body);
+  KernelTimes times;
+  times.scalar_seconds = MinSeconds(inner, scalar_body) / inner;
+  times.batch_seconds = MinSeconds(inner, batch_body) / inner;
+  return times;
+}
+
+// K bond-style problems (mean-reverting short rate, coupon source) marched
+// on one grid: K scalar SolvePdeProfile calls against one
+// SolvePdeProfileBatch, both factoring each lane's matrix once.
+KernelTimes TimePde(std::size_t k) {
+  std::vector<vaolib::numeric::Pde1dProblem> problems(k);
+  std::vector<const vaolib::numeric::Pde1dProblem*> ptrs;
+  for (std::size_t lane = 0; lane < k; ++lane) {
+    vaolib::numeric::Pde1dProblem& problem = problems[lane];
+    const double coupon = 4.0 + 0.25 * static_cast<double>(lane);
+    problem.diffusion = [](double) { return 2e-4; };
+    problem.convection = [](double x) { return 0.2 * (0.05 - x); };
+    problem.reaction = [](double x) { return x; };
+    problem.source = [coupon](double) { return coupon; };
+    problem.terminal = [](double) { return 100.0; };
+    problem.x_max = 0.2;
+    problem.t_end = 1.0 + 0.1 * static_cast<double>(lane);
+    ptrs.push_back(&problem);
+  }
+
+  auto scalar_body = [&] {
+    for (const auto& problem : problems) {
+      const auto profile = vaolib::numeric::SolvePdeProfile(
+          problem, kPdeGrid, nullptr);
+      if (!profile.ok()) std::abort();
+    }
+  };
+  std::vector<std::vector<double>> profiles;
+  vaolib::numeric::BatchKernelReport report;
+  auto batch_body = [&] {
+    const auto status = vaolib::numeric::SolvePdeProfileBatch(
+        ptrs, kPdeGrid, nullptr, &profiles, &report);
+    if (!status.ok() || !report.all_ok()) std::abort();
   };
 
   const int inner = AutoInner(scalar_body);
@@ -329,6 +373,7 @@ int main() {
       {"tridiagonal", &TimeTridiagonal, true},
       {"rk4", &TimeRk4, false},
       {"quadrature", &TimeRefine, false},
+      {"pde", &TimePde, false},
   };
   for (const Family& family : families) {
     for (const std::size_t k : widths) {

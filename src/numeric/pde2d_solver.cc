@@ -26,6 +26,12 @@ Status ValidateInputs(const Pde2dProblem& p, const Pde2dGrid& grid) {
     return Status::InvalidArgument(
         "2D PDE grid requires >= 2 intervals per axis and >= 1 t-step");
   }
+  // A linear boundary folds into its neighbouring row; with two intervals
+  // both folds of a sweep line would land on row 1.
+  if (!p.dirichlet_zero && (grid.x_intervals < 3 || grid.y_intervals < 3)) {
+    return Status::InvalidArgument(
+        "2D PDE grid with linear boundaries requires >= 3 intervals per axis");
+  }
   return Status::OK();
 }
 
@@ -80,62 +86,61 @@ Result<double> SolvePde2d(const Pde2dProblem& problem, const Pde2dGrid& grid,
     }
   }
 
+  // The sweep-line systems do not depend on time, so each line is factored
+  // during the first sweep along its axis and reused by every later one.
+  std::vector<TridiagonalFactor> x_lines(ny + 1);
+  std::vector<TridiagonalFactor> y_lines(nx + 1);
   TridiagonalSystem sys;
-  TridiagonalScratch scratch;  // reused across every sweep of the march
   std::vector<double> line;
 
-  // One implicit sweep along the x axis for every y row: solves
+  // One implicit sweep along one axis for every line across it: solves
   // (I - dt(a F_ss + b F_s - r/2)) U* = U + dt*c/2 with s the sweep axis.
-  auto sweep = [&](bool along_x) -> Status {
+  auto sweep = [&](bool along_x, bool first) -> Status {
     const int sweep_n = along_x ? nx : ny;
     const int cross_n = along_x ? ny : nx;
     const double h = along_x ? dx : dy;
-    sys.Resize(static_cast<std::size_t>(sweep_n + 1));
+    std::vector<TridiagonalFactor>& factors = along_x ? x_lines : y_lines;
+    line.resize(static_cast<std::size_t>(sweep_n + 1));
     for (int cross = 0; cross <= cross_n; ++cross) {
+      if (first) {
+        sys.Resize(static_cast<std::size_t>(sweep_n + 1));
+        for (int s = 1; s < sweep_n; ++s) {
+          const int i = along_x ? s : cross;
+          const int j = along_x ? cross : s;
+          const auto k = static_cast<std::size_t>(at(i, j));
+          const double diff = (along_x ? ax[k] : ay[k]) / (h * h);
+          const double conv = (along_x ? bx[k] : by[k]) / (2.0 * h);
+          sys.lower[s] = -dt * (diff - conv);
+          sys.diag[s] = 1.0 + dt * (2.0 * diff + 0.5 * rr[k]);
+          sys.upper[s] = -dt * (diff + conv);
+        }
+        // Boundary rows are identity rows with a zero right-hand side.
+        sys.diag[0] = 1.0;
+        sys.diag[sweep_n] = 1.0;
+        if (!problem.dirichlet_zero) {
+          // Linearity on the sweep axis: U_0 = 2U_1 - U_2 folded into row 1
+          // (and mirrored at the top), as in the 1-factor solver.
+          const double l1 = sys.lower[1];
+          sys.lower[1] = 0.0;
+          sys.diag[1] += 2.0 * l1;
+          sys.upper[1] -= l1;
+          const double un = sys.upper[sweep_n - 1];
+          sys.upper[sweep_n - 1] = 0.0;
+          sys.diag[sweep_n - 1] += 2.0 * un;
+          sys.lower[sweep_n - 1] -= un;
+        }
+        VAOLIB_RETURN_IF_ERROR(FactorTridiagonal(sys, &factors[cross]));
+      }
+
+      line[0] = 0.0;
+      line[sweep_n] = 0.0;
       for (int s = 1; s < sweep_n; ++s) {
         const int i = along_x ? s : cross;
         const int j = along_x ? cross : s;
         const auto k = static_cast<std::size_t>(at(i, j));
-        const double diff = (along_x ? ax[k] : ay[k]) / (h * h);
-        const double conv = (along_x ? bx[k] : by[k]) / (2.0 * h);
-        sys.lower[s] = -dt * (diff - conv);
-        sys.diag[s] = 1.0 + dt * (2.0 * diff + 0.5 * rr[k]);
-        sys.upper[s] = -dt * (diff + conv);
-        sys.rhs[s] = u[k] + 0.5 * dt * cc[k];
+        line[s] = u[k] + 0.5 * dt * cc[k];
       }
-
-      if (problem.dirichlet_zero) {
-        sys.lower[0] = 0.0;
-        sys.diag[0] = 1.0;
-        sys.upper[0] = 0.0;
-        sys.rhs[0] = 0.0;
-        sys.lower[sweep_n] = 0.0;
-        sys.diag[sweep_n] = 1.0;
-        sys.upper[sweep_n] = 0.0;
-        sys.rhs[sweep_n] = 0.0;
-      } else {
-        // Linearity on the sweep axis: U_0 = 2U_1 - U_2 folded into row 1
-        // (and mirrored at the top), as in the 1-factor solver.
-        sys.lower[0] = 0.0;
-        sys.diag[0] = 1.0;
-        sys.upper[0] = 0.0;
-        sys.rhs[0] = 0.0;
-        const double l1 = sys.lower[1];
-        sys.lower[1] = 0.0;
-        sys.diag[1] += 2.0 * l1;
-        sys.upper[1] -= l1;
-
-        sys.lower[sweep_n] = 0.0;
-        sys.diag[sweep_n] = 1.0;
-        sys.upper[sweep_n] = 0.0;
-        sys.rhs[sweep_n] = 0.0;
-        const double un = sys.upper[sweep_n - 1];
-        sys.upper[sweep_n - 1] = 0.0;
-        sys.diag[sweep_n - 1] += 2.0 * un;
-        sys.lower[sweep_n - 1] -= un;
-      }
-
-      VAOLIB_RETURN_IF_ERROR(SolveTridiagonal(sys, &line, &scratch));
+      VAOLIB_RETURN_IF_ERROR(SolveFactored(factors[cross], &line));
 
       if (!problem.dirichlet_zero) {
         line[0] = 2.0 * line[1] - line[2];
@@ -154,8 +159,8 @@ Result<double> SolvePde2d(const Pde2dProblem& problem, const Pde2dGrid& grid,
   };
 
   for (int m = 0; m < grid.t_steps; ++m) {
-    VAOLIB_RETURN_IF_ERROR(sweep(/*along_x=*/true));
-    VAOLIB_RETURN_IF_ERROR(sweep(/*along_x=*/false));
+    VAOLIB_RETURN_IF_ERROR(sweep(/*along_x=*/true, /*first=*/m == 0));
+    VAOLIB_RETURN_IF_ERROR(sweep(/*along_x=*/false, /*first=*/m == 0));
   }
 
   if (meter != nullptr) {

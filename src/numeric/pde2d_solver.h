@@ -73,7 +73,9 @@ struct Pde2dGrid {
 
 /// \brief Solves \p problem on \p grid and returns F(query_x, query_y, 0),
 /// bilinearly interpolated between the four nearest nodes. Charges
-/// grid.MeshEntries() exec units to \p meter (if non-null).
+/// grid.MeshEntries() exec units to \p meter (if non-null). Each sweep
+/// line's system is factored once per solve. Linear boundaries (the default,
+/// dirichlet_zero false) need >= 3 intervals per axis.
 Result<double> SolvePde2d(const Pde2dProblem& problem, const Pde2dGrid& grid,
                           double query_x, double query_y, WorkMeter* meter);
 

@@ -2,6 +2,7 @@
 #include "numeric/pde_solver.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "numeric/tridiagonal.h"
@@ -27,6 +28,13 @@ Status ValidateInputs(const Pde1dProblem& p, const PdeGrid& grid) {
     return Status::InvalidArgument(
         "PDE grid requires >= 2 x-intervals and >= 1 t-step");
   }
+  // Each linear boundary folds into its neighbouring row; with two
+  // intervals both folds would land on row 1.
+  if (p.left_boundary == BoundaryKind::kLinear &&
+      p.right_boundary == BoundaryKind::kLinear && grid.x_intervals < 3) {
+    return Status::InvalidArgument(
+        "PDE grid with two linear boundaries requires >= 3 x-intervals");
+  }
   if (p.left_boundary == BoundaryKind::kDirichlet && !p.left_value) {
     return Status::InvalidArgument("left Dirichlet boundary has no value fn");
   }
@@ -34,6 +42,108 @@ Status ValidateInputs(const Pde1dProblem& p, const PdeGrid& grid) {
     return Status::InvalidArgument("right Dirichlet boundary has no value fn");
   }
   return Status::OK();
+}
+
+// The t-independent parts of one problem's march on one grid.
+struct MarchSetup {
+  TridiagonalSystem bands;        ///< (I - dt*A), boundary rows folded
+  std::vector<double> terminal;   ///< U^0 = g(x_i)
+  std::vector<double> dt_source;  ///< dt * c(x_i)
+};
+
+// March in tau = t_end - t; F_tau = a F_xx + b F_x - r F + c, forward
+// parabolic in tau. Backward Euler: (I - dt*A) U^{m+1} = U^m + dt*c.
+// Interior stencil of A at node i:
+//   A U |_i = a_i (U_{i+1} - 2U_i + U_{i-1})/dx^2
+//           + b_i (U_{i+1} - U_{i-1})/(2dx) - r_i U_i.
+// The coefficients are pure functions of x and dt is constant, so the
+// matrix is assembled once per (problem, grid) and only the right-hand
+// side changes from step to step (see StepRhs).
+Status AssembleMarch(const Pde1dProblem& problem, const PdeGrid& grid,
+                     MarchSetup* setup) {
+  const int nx = grid.x_intervals;  // nodes 0..nx
+  const double dx = grid.Dx(problem);
+  const double dt = grid.Dt(problem);
+  TridiagonalSystem& sys = setup->bands;
+  sys.Resize(nx + 1);
+  setup->terminal.resize(nx + 1);
+  setup->dt_source.resize(nx + 1);
+  for (int i = 0; i <= nx; ++i) {
+    const double x = problem.x_min + dx * i;
+    const double a = problem.diffusion(x);
+    const double b = problem.convection(x);
+    const double r = problem.reaction(x);
+    setup->dt_source[i] = dt * problem.source(x);
+    if (!(a > 0.0)) {
+      return Status::InvalidArgument("diffusion coefficient must be > 0 at x=" +
+                                     std::to_string(x));
+    }
+    setup->terminal[i] = problem.terminal(x);
+    if (i == 0 || i == nx) continue;
+    const double diff = a / (dx * dx);
+    const double conv = b / (2.0 * dx);
+    sys.lower[i] = -dt * (diff - conv);
+    sys.diag[i] = 1.0 + dt * (2.0 * diff + r);
+    sys.upper[i] = -dt * (diff + conv);
+  }
+
+  // Boundary rows are identity rows; their right-hand side is the Dirichlet
+  // value, or a placeholder 0 for a linear boundary.
+  sys.diag[0] = 1.0;
+  sys.diag[nx] = 1.0;
+  if (problem.left_boundary == BoundaryKind::kLinear) {
+    // Linearity: U_0 - 2U_1 + U_2 = 0. Fold U_0 = 2U_1 - U_2 into row 1 so
+    // the matrix stays tridiagonal, then recover U_0 after each solve.
+    const double l1 = sys.lower[1];
+    sys.lower[1] = 0.0;
+    sys.diag[1] += 2.0 * l1;
+    sys.upper[1] -= l1;
+  }
+  if (problem.right_boundary == BoundaryKind::kLinear) {
+    // Linearity: U_nx = 2U_{nx-1} - U_{nx-2}; fold into row nx-1.
+    const double unm1 = sys.upper[nx - 1];
+    sys.upper[nx - 1] = 0.0;
+    sys.diag[nx - 1] += 2.0 * unm1;
+    sys.lower[nx - 1] -= unm1;
+  }
+  return Status::OK();
+}
+
+// Writes the right-hand side of step m, U^m + dt*c with the boundary rows'
+// values, into rhs[i * stride] for node i.
+void StepRhs(const Pde1dProblem& problem, const PdeGrid& grid,
+             const MarchSetup& setup, int m, const double* u,
+             std::size_t stride, double* rhs) {
+  const int nx = grid.x_intervals;
+  const double t_next = problem.t_end - grid.Dt(problem) * (m + 1);
+  rhs[0] = problem.left_boundary == BoundaryKind::kDirichlet
+               ? problem.left_value(t_next)
+               : 0.0;
+  for (int i = 1; i < nx; ++i) {
+    const std::size_t at = static_cast<std::size_t>(i) * stride;
+    rhs[at] = u[at] + setup.dt_source[i];
+  }
+  rhs[static_cast<std::size_t>(nx) * stride] =
+      problem.right_boundary == BoundaryKind::kDirichlet
+          ? problem.right_value(t_next)
+          : 0.0;
+}
+
+// Recovers the linear boundary nodes of a solved step and reports whether
+// every node is finite.
+bool FinishStep(const Pde1dProblem& problem, const PdeGrid& grid,
+                std::size_t stride, double* x) {
+  const std::size_t last = static_cast<std::size_t>(grid.x_intervals) * stride;
+  if (problem.left_boundary == BoundaryKind::kLinear) {
+    x[0] = 2.0 * x[stride] - x[2 * stride];
+  }
+  if (problem.right_boundary == BoundaryKind::kLinear) {
+    x[last] = 2.0 * x[last - stride] - x[last - 2 * stride];
+  }
+  for (std::size_t at = 0; at <= last; at += stride) {
+    if (!std::isfinite(x[at])) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -44,105 +154,20 @@ Result<std::vector<double>> SolvePdeProfile(const Pde1dProblem& problem,
   const obs::ScopedSpan span("solver", "pde", obs::TraceDetail::kFine);
   VAOLIB_RETURN_IF_ERROR(ValidateInputs(problem, grid));
 
-  const int nx = grid.x_intervals;  // nodes 0..nx
-  const double dx = grid.Dx(problem);
-  const double dt = grid.Dt(problem);
+  MarchSetup setup;
+  VAOLIB_RETURN_IF_ERROR(AssembleMarch(problem, grid, &setup));
+  TridiagonalFactor factor;
+  VAOLIB_RETURN_IF_ERROR(FactorTridiagonal(setup.bands, &factor));
 
-  // Node coordinates and t-independent per-node PDE coefficients.
-  std::vector<double> x(nx + 1);
-  std::vector<double> a(nx + 1), b(nx + 1), r(nx + 1), c(nx + 1);
-  for (int i = 0; i <= nx; ++i) {
-    x[i] = problem.x_min + dx * i;
-    a[i] = problem.diffusion(x[i]);
-    b[i] = problem.convection(x[i]);
-    r[i] = problem.reaction(x[i]);
-    c[i] = problem.source(x[i]);
-    if (!(a[i] > 0.0)) {
-      return Status::InvalidArgument("diffusion coefficient must be > 0 at x=" +
-                                     std::to_string(x[i]));
-    }
-  }
-
-  // March in tau = t_end - t; F_tau = a F_xx + b F_x - r F + c, forward
-  // parabolic in tau. Backward Euler: (I - dt*A) U^{m+1} = U^m + dt*c.
-  // Interior stencil of A at node i:
-  //   A U |_i = a_i (U_{i+1} - 2U_i + U_{i-1})/dx^2
-  //           + b_i (U_{i+1} - U_{i-1})/(2dx) - r_i U_i.
-  std::vector<double> u(nx + 1);
-  for (int i = 0; i <= nx; ++i) u[i] = problem.terminal(x[i]);
   // The terminal profile itself counts as the first mesh column only via
   // MeshEntries() (nx+1)*t_steps; we charge once per implicit step below.
-
-  TridiagonalSystem sys;
-  sys.Resize(nx + 1);
-  TridiagonalScratch scratch;  // reused across the time march
-  std::vector<double> next;
-
+  std::vector<double> u = std::move(setup.terminal);
+  std::vector<double> next(u.size());
   for (int m = 0; m < grid.t_steps; ++m) {
-    const double tau_next = dt * (m + 1);
-    const double t_next = problem.t_end - tau_next;
-
-    for (int i = 1; i < nx; ++i) {
-      const double diff = a[i] / (dx * dx);
-      const double conv = b[i] / (2.0 * dx);
-      sys.lower[i] = -dt * (diff - conv);
-      sys.diag[i] = 1.0 + dt * (2.0 * diff + r[i]);
-      sys.upper[i] = -dt * (diff + conv);
-      sys.rhs[i] = u[i] + dt * c[i];
-    }
-
-    // Left boundary row.
-    if (problem.left_boundary == BoundaryKind::kDirichlet) {
-      sys.lower[0] = 0.0;
-      sys.diag[0] = 1.0;
-      sys.upper[0] = 0.0;
-      sys.rhs[0] = problem.left_value(t_next);
-    } else {
-      // Linearity: U_0 - 2U_1 + U_2 = 0. Fold U_0 = 2U_1 - U_2 into row 1 so
-      // the matrix stays tridiagonal, then recover U_0 after the solve. Row 0
-      // becomes the identity placeholder U_0 = 0 (overwritten below).
-      sys.lower[0] = 0.0;
-      sys.diag[0] = 1.0;
-      sys.upper[0] = 0.0;
-      sys.rhs[0] = 0.0;
-      // Row 1 currently has coefficients (l1, d1, u1) on (U_0, U_1, U_2).
-      const double l1 = sys.lower[1];
-      sys.lower[1] = 0.0;
-      sys.diag[1] += 2.0 * l1;
-      sys.upper[1] -= l1;
-    }
-
-    // Right boundary row.
-    if (problem.right_boundary == BoundaryKind::kDirichlet) {
-      sys.lower[nx] = 0.0;
-      sys.diag[nx] = 1.0;
-      sys.upper[nx] = 0.0;
-      sys.rhs[nx] = problem.right_value(t_next);
-    } else {
-      // Linearity: U_nx = 2U_{nx-1} - U_{nx-2}; fold into row nx-1.
-      sys.lower[nx] = 0.0;
-      sys.diag[nx] = 1.0;
-      sys.upper[nx] = 0.0;
-      sys.rhs[nx] = 0.0;
-      const double unm1 = sys.upper[nx - 1];
-      sys.upper[nx - 1] = 0.0;
-      sys.diag[nx - 1] += 2.0 * unm1;
-      sys.lower[nx - 1] -= unm1;
-    }
-
-    VAOLIB_RETURN_IF_ERROR(SolveTridiagonal(sys, &next, &scratch));
-
-    if (problem.left_boundary == BoundaryKind::kLinear) {
-      next[0] = 2.0 * next[1] - next[2];
-    }
-    if (problem.right_boundary == BoundaryKind::kLinear) {
-      next[nx] = 2.0 * next[nx - 1] - next[nx - 2];
-    }
-
-    for (int i = 0; i <= nx; ++i) {
-      if (!std::isfinite(next[i])) {
-        return Status::NumericError("PDE solve produced non-finite value");
-      }
+    StepRhs(problem, grid, setup, m, u.data(), 1, next.data());
+    VAOLIB_RETURN_IF_ERROR(SolveFactored(factor, &next));
+    if (!FinishStep(problem, grid, 1, next.data())) {
+      return Status::NumericError("PDE solve produced non-finite value");
     }
     u.swap(next);
   }
@@ -170,147 +195,62 @@ Status SolvePdeProfileBatch(const std::vector<const Pde1dProblem*>& problems,
 
   const int nx = grid.x_intervals;  // nodes 0..nx, shared across lanes
   const std::size_t rows = static_cast<std::size_t>(nx) + 1;
-  report->Reset(lanes);
 
-  // Per-lane spatial step, time step, and t-independent node coefficients,
-  // computed with the exact expressions of the scalar solver so each lane's
-  // march is bit-identical to SolvePdeProfile.
-  std::vector<double> dx(lanes), dt(lanes);
-  std::vector<std::vector<double>> a(lanes), b(lanes), r(lanes), c(lanes);
+  // Each lane is assembled by the scalar solver's code and factored once,
+  // so its march is bit-identical to SolvePdeProfile.
+  std::vector<MarchSetup> setups(lanes);
+  TridiagonalBatch bands;
+  bands.Resize(lanes, rows);
   std::vector<double> u(rows * lanes);  // current profile, SoA plane
   for (std::size_t s = 0; s < lanes; ++s) {
-    const Pde1dProblem& problem = *problems[s];
-    dx[s] = grid.Dx(problem);
-    dt[s] = grid.Dt(problem);
-    a[s].resize(rows);
-    b[s].resize(rows);
-    r[s].resize(rows);
-    c[s].resize(rows);
-    for (int i = 0; i <= nx; ++i) {
-      const double x = problem.x_min + dx[s] * i;
-      a[s][i] = problem.diffusion(x);
-      b[s][i] = problem.convection(x);
-      r[s][i] = problem.reaction(x);
-      c[s][i] = problem.source(x);
-      if (!(a[s][i] > 0.0)) {
-        return Status::InvalidArgument(
-            "diffusion coefficient must be > 0 at x=" + std::to_string(x));
-      }
-      u[static_cast<std::size_t>(i) * lanes + s] = problem.terminal(x);
+    VAOLIB_RETURN_IF_ERROR(AssembleMarch(*problems[s], grid, &setups[s]));
+    const MarchSetup& setup = setups[s];
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t at = bands.IndexOf(i, s);
+      bands.lower[at] = setup.bands.lower[i];
+      bands.diag[at] = setup.bands.diag[i];
+      bands.upper[at] = setup.bands.upper[i];
+      u[at] = setup.terminal[i];
     }
   }
+  TridiagonalBatchFactor factor;
+  VAOLIB_RETURN_IF_ERROR(FactorTridiagonalBatch(bands, &factor, report));
 
-  TridiagonalBatch batch;
-  batch.Resize(lanes, rows);
-  TridiagonalBatchScratch scratch;
-  BatchKernelReport step_report;
-  std::vector<double> solutions;
+  // A failed lane is recorded with its step and frozen on identity rows, so
+  // the lockstep solve stays well-conditioned without touching live lanes.
   std::vector<char> active(lanes, 1);
   std::size_t num_active = lanes;
+  auto freeze = [&](std::size_t s, int step) {
+    active[s] = 0;
+    --num_active;
+    report->failed_row[s] = step;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t at = factor.IndexOf(i, s);
+      factor.lower[at] = 0.0;
+      factor.pivot[at] = 1.0;
+      factor.c_prime[at] = 0.0;
+    }
+  };
+  for (std::size_t s = 0; s < lanes; ++s) {
+    if (!report->ok(s)) freeze(s, 0);  // a zero pivot fails the first step
+  }
 
+  std::vector<double> next(rows * lanes);
   for (int m = 0; m < grid.t_steps && num_active > 0; ++m) {
     for (std::size_t s = 0; s < lanes; ++s) {
-      if (!active[s]) {
-        // Frozen lane: benign identity rows so the lockstep solve stays
-        // well-conditioned without touching live lanes.
-        for (int i = 0; i <= nx; ++i) {
-          const std::size_t at = static_cast<std::size_t>(i) * lanes + s;
-          batch.lower[at] = 0.0;
-          batch.diag[at] = 1.0;
-          batch.upper[at] = 0.0;
-          batch.rhs[at] = 0.0;
-        }
-        continue;
-      }
-      const Pde1dProblem& problem = *problems[s];
-      const double tau_next = dt[s] * (m + 1);
-      const double t_next = problem.t_end - tau_next;
-
-      for (int i = 1; i < nx; ++i) {
-        const double diff = a[s][i] / (dx[s] * dx[s]);
-        const double conv = b[s][i] / (2.0 * dx[s]);
-        const std::size_t at = static_cast<std::size_t>(i) * lanes + s;
-        batch.lower[at] = -dt[s] * (diff - conv);
-        batch.diag[at] = 1.0 + dt[s] * (2.0 * diff + r[s][i]);
-        batch.upper[at] = -dt[s] * (diff + conv);
-        batch.rhs[at] = u[at] + dt[s] * c[s][i];
-      }
-
-      const std::size_t row0 = s;
-      const std::size_t row1 = lanes + s;
-      if (problem.left_boundary == BoundaryKind::kDirichlet) {
-        batch.lower[row0] = 0.0;
-        batch.diag[row0] = 1.0;
-        batch.upper[row0] = 0.0;
-        batch.rhs[row0] = problem.left_value(t_next);
+      if (active[s]) {
+        StepRhs(*problems[s], grid, setups[s], m, &u[s], lanes, &next[s]);
       } else {
-        batch.lower[row0] = 0.0;
-        batch.diag[row0] = 1.0;
-        batch.upper[row0] = 0.0;
-        batch.rhs[row0] = 0.0;
-        const double l1 = batch.lower[row1];
-        batch.lower[row1] = 0.0;
-        batch.diag[row1] += 2.0 * l1;
-        batch.upper[row1] -= l1;
-      }
-
-      const std::size_t rown = static_cast<std::size_t>(nx) * lanes + s;
-      const std::size_t rownm1 = static_cast<std::size_t>(nx - 1) * lanes + s;
-      if (problem.right_boundary == BoundaryKind::kDirichlet) {
-        batch.lower[rown] = 0.0;
-        batch.diag[rown] = 1.0;
-        batch.upper[rown] = 0.0;
-        batch.rhs[rown] = problem.right_value(t_next);
-      } else {
-        batch.lower[rown] = 0.0;
-        batch.diag[rown] = 1.0;
-        batch.upper[rown] = 0.0;
-        batch.rhs[rown] = 0.0;
-        const double unm1 = batch.upper[rownm1];
-        batch.upper[rownm1] = 0.0;
-        batch.diag[rownm1] += 2.0 * unm1;
-        batch.lower[rownm1] -= unm1;
+        for (std::size_t i = 0; i < rows; ++i) next[i * lanes + s] = 0.0;
       }
     }
-
-    VAOLIB_RETURN_IF_ERROR(
-        SolveTridiagonalBatch(batch, &solutions, &step_report, &scratch));
-
+    VAOLIB_RETURN_IF_ERROR(SolveFactoredBatch(factor, &next));
     for (std::size_t s = 0; s < lanes; ++s) {
-      if (!active[s]) continue;
-      if (!step_report.ok(s)) {
-        active[s] = 0;
-        report->failed_row[s] = m;
-        --num_active;
-        continue;
-      }
-      const Pde1dProblem& problem = *problems[s];
-      if (problem.left_boundary == BoundaryKind::kLinear) {
-        solutions[s] = 2.0 * solutions[lanes + s] - solutions[2 * lanes + s];
-      }
-      if (problem.right_boundary == BoundaryKind::kLinear) {
-        const std::size_t rown = static_cast<std::size_t>(nx) * lanes + s;
-        solutions[rown] =
-            2.0 * solutions[rown - lanes] - solutions[rown - 2 * lanes];
-      }
-      bool finite = true;
-      for (int i = 0; i <= nx; ++i) {
-        if (!std::isfinite(solutions[static_cast<std::size_t>(i) * lanes + s])) {
-          finite = false;
-          break;
-        }
-      }
-      if (!finite) {
-        active[s] = 0;
-        report->failed_row[s] = m;
-        --num_active;
-        continue;
-      }
-      for (int i = 0; i <= nx; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i) * lanes + s;
-        u[at] = solutions[at];
+      if (active[s] && !FinishStep(*problems[s], grid, lanes, &next[s])) {
+        freeze(s, m);
       }
     }
+    u.swap(next);
   }
 
   std::uint64_t ok_lanes = 0;
@@ -328,9 +268,7 @@ Status SolvePdeProfileBatch(const std::vector<const Pde1dProblem*>& problems,
   for (std::size_t s = 0; s < lanes; ++s) {
     std::vector<double>& profile = (*profiles)[s];
     profile.resize(rows);
-    for (int i = 0; i <= nx; ++i) {
-      profile[i] = u[static_cast<std::size_t>(i) * lanes + s];
-    }
+    for (std::size_t i = 0; i < rows; ++i) profile[i] = u[i * lanes + s];
   }
   return Status::OK();
 }

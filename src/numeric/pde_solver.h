@@ -7,9 +7,11 @@
 // solved backward from the terminal condition to t = 0 with an implicit
 // (backward-Euler in time, central-difference in space) scheme whose error is
 // O(dt + dx^2) -- exactly the error form the paper's extrapolation assumes.
-// Each time step is a tridiagonal solve (Thomas algorithm), and the solver
-// charges one WorkMeter exec unit per mesh entry computed, which is the
-// paper's "compute work proportional to the number of mesh entries".
+// Each time step is a tridiagonal solve (Thomas algorithm) against the same
+// matrix, so the matrix is factored once per (problem, grid) and each step
+// runs only the right-hand-side sweeps. The solver charges one WorkMeter
+// exec unit per mesh entry computed, which is the paper's "compute work
+// proportional to the number of mesh entries".
 
 #ifndef VAOLIB_NUMERIC_PDE_SOLVER_H_
 #define VAOLIB_NUMERIC_PDE_SOLVER_H_
@@ -72,7 +74,8 @@ struct PdeGrid {
 /// interpolated between the two nearest x-nodes.
 ///
 /// Charges grid.MeshEntries() exec units to \p meter (if non-null).
-/// \return InvalidArgument for malformed problems/grids/query points,
+/// \return InvalidArgument for malformed problems/grids/query points (two
+/// linear boundaries need x_intervals >= 3),
 /// NumericError if the linear solves break down or produce non-finite values.
 Result<double> SolvePde(const Pde1dProblem& problem, const PdeGrid& grid,
                         double query_x, WorkMeter* meter);

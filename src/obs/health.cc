@@ -9,22 +9,25 @@ namespace vaolib::obs {
 
 namespace {
 
-const MetricsSnapshot::CounterSample* FindCounter(
-    const MetricsSnapshot& snapshot, const std::string& name,
-    const MetricsRegistry::Labels& labels) {
-  for (const auto& sample : snapshot.counters) {
-    if (sample.name == name && sample.labels == labels) return &sample;
+constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+template <typename Sample>
+std::size_t FindSeries(const std::vector<Sample>& samples,
+                       const std::string& name,
+                       const MetricsRegistry::Labels& labels) {
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (samples[i].name == name && samples[i].labels == labels) return i;
   }
-  return nullptr;
+  return kAbsent;
 }
 
-const MetricsSnapshot::HistogramSample* FindHistogram(
-    const MetricsSnapshot& snapshot, const std::string& name,
-    const MetricsRegistry::Labels& labels) {
-  for (const auto& sample : snapshot.histograms) {
-    if (sample.name == name && sample.labels == labels) return &sample;
-  }
-  return nullptr;
+// Bucket counts of series \p i in \p epoch_counts; empty when the series
+// was registered after the epoch closed.
+const std::vector<std::uint64_t>& BucketsAt(
+    const std::vector<std::vector<std::uint64_t>>& epoch_counts,
+    std::size_t i) {
+  static const std::vector<std::uint64_t> kNone;
+  return i < epoch_counts.size() ? epoch_counts[i] : kNone;
 }
 
 }  // namespace
@@ -39,8 +42,18 @@ WindowedView::WindowedView(MetricsRegistry* registry, Options options)
 }
 
 void WindowedView::Push(double now_seconds, bool has_clock) {
+  newest_ = registry_->Snapshot();
   Epoch epoch;
-  epoch.snapshot = registry_->Snapshot();
+  epoch.counters.reserve(newest_.counters.size());
+  for (const auto& sample : newest_.counters) {
+    epoch.counters.push_back(sample.value);
+  }
+  epoch.histogram_counts.reserve(newest_.histograms.size());
+  epoch.histogram_sums.reserve(newest_.histograms.size());
+  for (const auto& sample : newest_.histograms) {
+    epoch.histogram_counts.push_back(sample.counts);
+    epoch.histogram_sums.push_back(sample.sum);
+  }
   epoch.at_seconds = now_seconds;
   epoch.has_clock = has_clock;
   ring_.push_back(std::move(epoch));
@@ -68,12 +81,13 @@ std::uint64_t WindowedView::CounterDelta(const std::string& name,
                                          std::size_t k) const {
   if (epochs() == 0) return 0;
   const auto [older, newest] = Span(k);
-  const auto* now = FindCounter(ring_[newest].snapshot, name, labels);
-  if (now == nullptr) return 0;
-  const auto* then = FindCounter(ring_[older].snapshot, name, labels);
+  const std::size_t i = FindSeries(newest_.counters, name, labels);
+  if (i == kAbsent) return 0;
+  const std::uint64_t now = ring_[newest].counters[i];
+  const std::vector<std::uint64_t>& then = ring_[older].counters;
   // A counter registered mid-span reads as starting from zero.
-  const std::uint64_t base = then != nullptr ? then->value : 0;
-  return now->value >= base ? now->value - base : 0;
+  const std::uint64_t base = i < then.size() ? then[i] : 0;
+  return now >= base ? now - base : 0;
 }
 
 double WindowedView::CounterRate(const std::string& name,
@@ -95,14 +109,15 @@ std::uint64_t WindowedView::HistogramCountDelta(
     std::size_t k) const {
   if (epochs() == 0) return 0;
   const auto [older, newest] = Span(k);
-  const auto* now = FindHistogram(ring_[newest].snapshot, name, labels);
-  if (now == nullptr) return 0;
-  const auto* then = FindHistogram(ring_[older].snapshot, name, labels);
+  const std::size_t h = FindSeries(newest_.histograms, name, labels);
+  if (h == kAbsent) return 0;
+  const std::vector<std::uint64_t>& now = ring_[newest].histogram_counts[h];
+  const std::vector<std::uint64_t>& then =
+      BucketsAt(ring_[older].histogram_counts, h);
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < now->counts.size(); ++i) {
-    const std::uint64_t base =
-        (then != nullptr && i < then->counts.size()) ? then->counts[i] : 0;
-    if (now->counts[i] > base) total += now->counts[i] - base;
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    const std::uint64_t base = i < then.size() ? then[i] : 0;
+    if (now[i] > base) total += now[i] - base;
   }
   return total;
 }
@@ -112,10 +127,10 @@ double WindowedView::HistogramSumDelta(const std::string& name,
                                        std::size_t k) const {
   if (epochs() == 0) return 0.0;
   const auto [older, newest] = Span(k);
-  const auto* now = FindHistogram(ring_[newest].snapshot, name, labels);
-  if (now == nullptr) return 0.0;
-  const auto* then = FindHistogram(ring_[older].snapshot, name, labels);
-  return now->sum - (then != nullptr ? then->sum : 0.0);
+  const std::size_t h = FindSeries(newest_.histograms, name, labels);
+  if (h == kAbsent) return 0.0;
+  const std::vector<double>& then = ring_[older].histogram_sums;
+  return ring_[newest].histogram_sums[h] - (h < then.size() ? then[h] : 0.0);
 }
 
 double WindowedView::HistogramQuantile(const std::string& name,
@@ -124,16 +139,17 @@ double WindowedView::HistogramQuantile(const std::string& name,
   if (epochs() == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const auto [older, newest] = Span(k);
-  const auto* now = FindHistogram(ring_[newest].snapshot, name, labels);
-  if (now == nullptr) return 0.0;
-  const auto* then = FindHistogram(ring_[older].snapshot, name, labels);
+  const std::size_t h = FindSeries(newest_.histograms, name, labels);
+  if (h == kAbsent) return 0.0;
+  const std::vector<std::uint64_t>& now = ring_[newest].histogram_counts[h];
+  const std::vector<std::uint64_t>& then =
+      BucketsAt(ring_[older].histogram_counts, h);
 
-  std::vector<std::uint64_t> delta(now->counts.size(), 0);
+  std::vector<std::uint64_t> delta(now.size(), 0);
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < now->counts.size(); ++i) {
-    const std::uint64_t base =
-        (then != nullptr && i < then->counts.size()) ? then->counts[i] : 0;
-    if (now->counts[i] > base) delta[i] = now->counts[i] - base;
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    const std::uint64_t base = i < then.size() ? then[i] : 0;
+    if (now[i] > base) delta[i] = now[i] - base;
     total += delta[i];
   }
   if (total == 0) return 0.0;
@@ -141,7 +157,7 @@ double WindowedView::HistogramQuantile(const std::string& name,
   // Same interpolation contract as Histogram::Quantile, over the deltas.
   const double rank = q * static_cast<double>(total);
   std::uint64_t cumulative = 0;
-  const auto& bounds = now->upper_bounds;
+  const auto& bounds = newest_.histograms[h].upper_bounds;
   for (std::size_t i = 0; i < bounds.size(); ++i) {
     if (delta[i] == 0) continue;
     cumulative += delta[i];

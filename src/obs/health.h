@@ -21,7 +21,8 @@
 //     critical arms the flight recorder (obs/flight_recorder.h).
 //
 // Overhead contract: the hot path pays exactly one MetricsRegistry
-// snapshot per epoch advance plus one ProgressRing store per query-tick;
+// snapshot per epoch advance plus one ProgressRing store per query-tick
+// (an epoch retains only the snapshot's values, not its names and labels);
 // all rate/quantile/burn queries run on the introspection (INSPECT/
 // METRICS) path. bench/obs02_health_overhead gates the total at <2% of
 // tick cost.
@@ -101,8 +102,14 @@ class WindowedView {
                            std::size_t k) const;
 
  private:
+  // The values of one closed epoch. The registry only appends, so the i-th
+  // counter (histogram) of every snapshot is the same series: names,
+  // labels and bucket bounds are kept once, in newest_, and a series
+  // registered after an epoch closed lies past the end of its vectors.
   struct Epoch {
-    MetricsSnapshot snapshot;
+    std::vector<std::uint64_t> counters;
+    std::vector<std::vector<std::uint64_t>> histogram_counts;
+    std::vector<double> histogram_sums;
     double at_seconds = 0.0;
     bool has_clock = false;
   };
@@ -113,6 +120,7 @@ class WindowedView {
 
   MetricsRegistry* registry_;
   Options options_;
+  MetricsSnapshot newest_;  // the snapshot ring_.back() was taken from
   std::deque<Epoch> ring_;  // oldest first; size() == epochs() + 1
   std::uint64_t total_advances_ = 0;
 };

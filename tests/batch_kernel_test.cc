@@ -125,6 +125,54 @@ TEST(TridiagonalBatchTest, PivotFailureMidBatchIsIsolated) {
   }
 }
 
+TEST(TridiagonalBatchTest, SingleSystemRunsScalarSweepAndReportsPivot) {
+  numeric::TridiagonalBatch batch;
+  FillDominantBatch(&batch, 1, 6, 0x0E1);
+  batch.diag[batch.IndexOf(3, 0)] = 0.0;
+  batch.lower[batch.IndexOf(3, 0)] = 0.0;
+  std::vector<double> solutions;
+  numeric::BatchKernelReport report;
+  // A pivot failure is recorded, not returned, even with one system.
+  ASSERT_TRUE(
+      numeric::SolveTridiagonalBatch(batch, &solutions, &report).ok());
+  EXPECT_EQ(report.failed_row[0], 3);
+}
+
+TEST(TridiagonalBatchTest, FactoredBatchMatchesSolveBatchBitExact) {
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                              std::size_t{17}}) {
+    numeric::TridiagonalBatch batch;
+    FillDominantBatch(&batch, k, 24, 0xFAC7ull ^ (k * 131));
+    std::vector<double> expected;
+    numeric::BatchKernelReport report;
+    ASSERT_TRUE(
+        numeric::SolveTridiagonalBatch(batch, &expected, &report).ok());
+
+    numeric::TridiagonalBatchFactor factor;
+    numeric::BatchKernelReport factor_report;
+    ASSERT_TRUE(
+        numeric::FactorTridiagonalBatch(batch, &factor, &factor_report).ok());
+    EXPECT_TRUE(factor_report.all_ok());
+    std::vector<double> x = batch.rhs;
+    ASSERT_TRUE(numeric::SolveFactoredBatch(factor, &x).ok());
+    EXPECT_EQ(x, expected) << "k=" << k;
+    // Each lane also matches the scalar factored solve.
+    for (std::size_t s = 0; s < k; ++s) {
+      const numeric::TridiagonalSystem sys = LaneSystem(batch, s);
+      numeric::TridiagonalFactor lane;
+      ASSERT_TRUE(numeric::FactorTridiagonal(sys, &lane).ok());
+      std::vector<double> y = sys.rhs;
+      ASSERT_TRUE(numeric::SolveFactored(lane, &y).ok());
+      for (std::size_t i = 0; i < batch.rows; ++i) {
+        EXPECT_EQ(x[batch.IndexOf(i, s)], y[i]) << "k=" << k << " lane=" << s;
+      }
+    }
+    x.pop_back();
+    EXPECT_EQ(numeric::SolveFactoredBatch(factor, &x).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(TridiagonalBatchTest, CallerScratchIsReusable) {
   numeric::TridiagonalBatch batch;
   FillDominantBatch(&batch, 4, 12, 0xCAFE);
@@ -304,6 +352,58 @@ TEST(PdeBatchTest, ProfileBatchMatchesScalarBitExact) {
     }
   }
   EXPECT_EQ(batch_meter.Total(), scalar_meter.Total());
+}
+
+// dt = 1, dx = 1/4 and a = 1/32 with reaction -2 make the first interior
+// pivot exactly zero, so this lane fails before its first step.
+numeric::Pde1dProblem ZeroPivotProblem() {
+  numeric::Pde1dProblem problem = HeatProblem(1.0);
+  problem.diffusion = [](double) { return 1.0 / 32.0; };
+  problem.reaction = [](double) { return -2.0; };
+  problem.t_end = 3.0;
+  return problem;
+}
+
+// A source of 1e308 per unit time with dt = 1 overflows on the second step.
+numeric::Pde1dProblem BlowUpProblem() {
+  numeric::Pde1dProblem problem = HeatProblem(1.0);
+  problem.diffusion = [](double) { return 1e-6; };
+  problem.source = [](double) { return 1e308; };
+  problem.t_end = 3.0;
+  return problem;
+}
+
+TEST(PdeBatchTest, FailedLanesRecordTheirStepAndSpareTheOthers) {
+  const std::vector<numeric::Pde1dProblem> problems = {
+      HeatProblem(1.0), ZeroPivotProblem(), HeatProblem(2.0), BlowUpProblem(),
+      HeatProblem(1.5)};
+  std::vector<const numeric::Pde1dProblem*> ptrs;
+  for (const auto& problem : problems) ptrs.push_back(&problem);
+  const numeric::PdeGrid grid{4, 3};
+
+  WorkMeter batch_meter;
+  std::vector<std::vector<double>> profiles;
+  numeric::BatchKernelReport report;
+  ASSERT_TRUE(numeric::SolvePdeProfileBatch(ptrs, grid, &batch_meter,
+                                            &profiles, &report)
+                  .ok());
+  EXPECT_EQ(report.failed_row[1], 0);  // zero pivot: fails at step 0
+  EXPECT_EQ(report.failed_row[3], 1);  // overflow: fails at step 1
+  EXPECT_EQ(report.num_failed(), 2u);
+
+  WorkMeter scalar_meter;
+  for (std::size_t lane = 0; lane < problems.size(); ++lane) {
+    const auto scalar =
+        numeric::SolvePdeProfile(problems[lane], grid, &scalar_meter);
+    ASSERT_EQ(scalar.ok(), report.ok(lane)) << "lane=" << lane;
+    if (!scalar.ok()) {
+      EXPECT_EQ(scalar.status().code(), StatusCode::kNumericError);
+      continue;
+    }
+    EXPECT_EQ(profiles[lane], scalar.value()) << "lane=" << lane;
+  }
+  EXPECT_EQ(batch_meter.Total(), scalar_meter.Total());
+  EXPECT_EQ(batch_meter.Total(), 3 * grid.MeshEntries());
 }
 
 TEST(PdeBatchTest, QueryBatchMatchesScalar) {

@@ -64,6 +64,23 @@ TEST(WindowedViewTest, UnknownAndMidSpanCountersReadAsZeroBased) {
   EXPECT_EQ(view.CounterDelta("late_total", {}, 2), 4u);
 }
 
+TEST(WindowedViewTest, MidSpanHistogramsReadAsZeroBased) {
+  MetricsRegistry registry;
+  Counter* early = registry.GetCounter("early_total");
+  WindowedView view(&registry);
+  early->Add(1);
+  view.Advance();
+
+  // Registered after the first two epochs closed: those epochs hold no
+  // values for it, in any bucket or in the sum.
+  registry.GetHistogram("late_latency", {}, {1.0, 2.0})->Observe(0.5);
+  view.Advance();
+  EXPECT_EQ(view.HistogramCountDelta("late_latency", {}, 2), 1u);
+  EXPECT_DOUBLE_EQ(view.HistogramSumDelta("late_latency", {}, 2), 0.5);
+  EXPECT_DOUBLE_EQ(view.HistogramQuantile("late_latency", {}, 1.0, 2), 1.0);
+  EXPECT_EQ(view.CounterDelta("early_total", {}, 2), 1u);
+}
+
 TEST(WindowedViewTest, LabeledIdentitiesAreDistinct) {
   MetricsRegistry registry;
   Counter* a = registry.GetCounter("shed_total", {{"reason", "overload"}});

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
 #include "numeric/integration.h"
 #include "numeric/ode_solver.h"
@@ -58,6 +60,43 @@ TEST(TridiagonalTest, ReportsZeroPivot) {
   sys.diag = {0.0, 1.0};
   std::vector<double> x;
   EXPECT_EQ(SolveTridiagonal(sys, &x).code(), StatusCode::kNumericError);
+}
+
+TEST(TridiagonalTest, FactoredSolveMatchesSolveBitExact) {
+  TridiagonalSystem sys;
+  sys.Resize(7);
+  for (int i = 0; i < 7; ++i) {
+    sys.lower[i] = -0.3 - 0.01 * i;
+    sys.diag[i] = 2.0 + 0.1 * i;
+    sys.upper[i] = -0.7 + 0.02 * i;
+  }
+  TridiagonalFactor factor;
+  ASSERT_TRUE(FactorTridiagonal(sys, &factor).ok());
+  // One factor serves every right-hand side.
+  for (int trial = 0; trial < 3; ++trial) {
+    for (int i = 0; i < 7; ++i) sys.rhs[i] = std::sin(1.0 + i + 5.0 * trial);
+    std::vector<double> expected;
+    ASSERT_TRUE(SolveTridiagonal(sys, &expected).ok());
+    std::vector<double> x = sys.rhs;
+    ASSERT_TRUE(SolveFactored(factor, &x).ok());
+    EXPECT_EQ(x, expected) << "trial " << trial;
+  }
+  std::vector<double> wrong_size(6, 1.0);
+  EXPECT_EQ(SolveFactored(factor, &wrong_size).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TridiagonalTest, FactorReportsZeroPivotRow) {
+  TridiagonalSystem sys;
+  sys.Resize(3);
+  sys.diag = {1.0, 1.0, 1.0};
+  sys.lower = {0.0, 1.0, 0.0};
+  sys.upper = {1.0, 0.0, 0.0};  // row 1 pivot: 1 - 1 * 1 = 0
+  TridiagonalFactor factor;
+  const Status status = FactorTridiagonal(sys, &factor);
+  EXPECT_EQ(status.code(), StatusCode::kNumericError);
+  std::vector<double> x;
+  EXPECT_EQ(SolveTridiagonal(sys, &x).ToString(), status.ToString());
 }
 
 TEST(TridiagonalTest, LargeDiagonallyDominantSystem) {
@@ -191,6 +230,217 @@ TEST(PdeSolverTest, RejectsMalformedInputs) {
   EXPECT_EQ(
       SolvePde(dirichlet, PdeGrid{8, 8}, 0.05, nullptr).status().code(),
       StatusCode::kInvalidArgument);
+}
+
+// F(x, t) = 1 + x solves the pure heat equation and satisfies linearity at
+// both ends, so every grid with two linear boundaries must return it.
+Pde1dProblem LinearTerminalProblem() {
+  Pde1dProblem p;
+  p.diffusion = [](double) { return 1.0; };
+  p.convection = [](double) { return 0.0; };
+  p.reaction = [](double) { return 0.0; };
+  p.source = [](double) { return 0.0; };
+  p.terminal = [](double x) { return 1.0 + x; };
+  return p;
+}
+
+TEST(PdeSolverTest, TwoLinearBoundariesNeedThreeIntervals) {
+  // With two intervals both linear folds landed on row 1 and the solve
+  // returned (3, 1.5, 0) instead of (1, 1.5, 2).
+  const Pde1dProblem problem = LinearTerminalProblem();
+  EXPECT_EQ(SolvePdeProfile(problem, PdeGrid{2, 4}, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  std::vector<std::vector<double>> profiles;
+  BatchKernelReport report;
+  EXPECT_EQ(SolvePdeProfileBatch({&problem}, PdeGrid{2, 4}, nullptr,
+                                 &profiles, &report)
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  for (const int nx : {3, 4}) {
+    const auto profile = SolvePdeProfile(problem, PdeGrid{nx, 4}, nullptr);
+    ASSERT_TRUE(profile.ok()) << profile.status();
+    for (int i = 0; i <= nx; ++i) {
+      EXPECT_NEAR(profile.value()[i], 1.0 + static_cast<double>(i) / nx,
+                  1e-12)
+          << "nx=" << nx << " node=" << i;
+    }
+  }
+
+  // One Dirichlet side leaves a single fold, which two intervals can hold.
+  Pde1dProblem dirichlet_right = problem;
+  dirichlet_right.right_boundary = BoundaryKind::kDirichlet;
+  dirichlet_right.right_value = [](double) { return 2.0; };
+  const auto profile = SolvePdeProfile(dirichlet_right, PdeGrid{2, 4}, nullptr);
+  ASSERT_TRUE(profile.ok()) << profile.status();
+  EXPECT_NEAR(profile.value()[0], 1.0, 1e-12);
+  EXPECT_NEAR(profile.value()[1], 1.5, 1e-12);
+  EXPECT_NEAR(profile.value()[2], 2.0, 1e-12);
+}
+
+// Reference march that assembles (I - dt*A) at every step and solves it
+// with SolveTridiagonal -- the shape of the solver before it factored the
+// matrix once. The factored march must match it bit for bit.
+Result<std::vector<double>> AssembleEveryStepMarch(const Pde1dProblem& p,
+                                                   const PdeGrid& grid) {
+  const int nx = grid.x_intervals;
+  const double dx = grid.Dx(p);
+  const double dt = grid.Dt(p);
+  std::vector<double> u(nx + 1);
+  for (int i = 0; i <= nx; ++i) u[i] = p.terminal(p.x_min + dx * i);
+  TridiagonalSystem sys;
+  sys.Resize(nx + 1);
+  std::vector<double> next;
+  for (int m = 0; m < grid.t_steps; ++m) {
+    const double t_next = p.t_end - dt * (m + 1);
+    for (int i = 1; i < nx; ++i) {
+      const double x = p.x_min + dx * i;
+      const double diff = p.diffusion(x) / (dx * dx);
+      const double conv = p.convection(x) / (2.0 * dx);
+      sys.lower[i] = -dt * (diff - conv);
+      sys.diag[i] = 1.0 + dt * (2.0 * diff + p.reaction(x));
+      sys.upper[i] = -dt * (diff + conv);
+      sys.rhs[i] = u[i] + dt * p.source(x);
+    }
+    sys.lower[0] = sys.upper[0] = sys.lower[nx] = sys.upper[nx] = 0.0;
+    sys.diag[0] = sys.diag[nx] = 1.0;
+    sys.rhs[0] = p.left_boundary == BoundaryKind::kDirichlet
+                     ? p.left_value(t_next)
+                     : 0.0;
+    sys.rhs[nx] = p.right_boundary == BoundaryKind::kDirichlet
+                      ? p.right_value(t_next)
+                      : 0.0;
+    if (p.left_boundary == BoundaryKind::kLinear) {
+      const double l1 = sys.lower[1];
+      sys.lower[1] = 0.0;
+      sys.diag[1] += 2.0 * l1;
+      sys.upper[1] -= l1;
+    }
+    if (p.right_boundary == BoundaryKind::kLinear) {
+      const double unm1 = sys.upper[nx - 1];
+      sys.upper[nx - 1] = 0.0;
+      sys.diag[nx - 1] += 2.0 * unm1;
+      sys.lower[nx - 1] -= unm1;
+    }
+    const Status status = SolveTridiagonal(sys, &next);
+    if (!status.ok()) return status;
+    if (p.left_boundary == BoundaryKind::kLinear) {
+      next[0] = 2.0 * next[1] - next[2];
+    }
+    if (p.right_boundary == BoundaryKind::kLinear) {
+      next[nx] = 2.0 * next[nx - 1] - next[nx - 2];
+    }
+    for (const double value : next) {
+      if (!std::isfinite(value)) {
+        return Status::NumericError("PDE solve produced non-finite value");
+      }
+    }
+    u.swap(next);
+  }
+  return u;
+}
+
+double NextUniform(std::uint64_t* state) {
+  *state = *state * 6364136223846793005ULL + 1442695040888963407ULL;
+  return static_cast<double>((*state >> 11) & 0xFFFFFFFFULL) / 4294967296.0;
+}
+
+// A problem with affine coefficients drawn from \p state.
+Pde1dProblem RandomProblem(std::uint64_t* state, BoundaryKind left,
+                           BoundaryKind right) {
+  const double a0 = 1e-4 + 0.01 * NextUniform(state);
+  const double a1 = 0.01 * NextUniform(state);
+  const double b0 = NextUniform(state) - 0.5;
+  const double b1 = NextUniform(state) - 0.5;
+  const double r0 = 0.1 * NextUniform(state);
+  const double c0 = 10.0 * NextUniform(state);
+  const double g0 = 100.0 * NextUniform(state);
+  const double g1 = 20.0 * (NextUniform(state) - 0.5);
+  const double w0 = NextUniform(state);
+  Pde1dProblem p;
+  p.diffusion = [a0, a1](double x) { return a0 + a1 * x * x; };
+  p.convection = [b0, b1](double x) { return b0 + b1 * x; };
+  p.reaction = [r0](double x) { return r0 + x; };
+  p.source = [c0](double) { return c0; };
+  p.terminal = [g0, g1](double x) { return g0 + g1 * x * x; };
+  p.x_min = -0.1 * NextUniform(state);
+  p.x_max = 0.2 + NextUniform(state);
+  p.t_end = 0.5 + 5.0 * NextUniform(state);
+  p.left_boundary = left;
+  p.right_boundary = right;
+  p.left_value = [g0, w0](double t) { return g0 + w0 * t; };
+  p.right_value = [g0, w0](double t) { return g0 - w0 * t; };
+  return p;
+}
+
+TEST(PdeSolverTest, FactoredMarchMatchesAssembleEveryStepBitExact) {
+  std::uint64_t state = 0xFAC7;
+  const BoundaryKind kinds[] = {BoundaryKind::kLinear,
+                                BoundaryKind::kDirichlet};
+  for (const BoundaryKind left : kinds) {
+    for (const BoundaryKind right : kinds) {
+      for (const int nx : {3, 4, 9, 32}) {
+        for (const int nt : {1, 2, 17}) {
+          const Pde1dProblem problem = RandomProblem(&state, left, right);
+          const PdeGrid grid{nx, nt};
+          const auto expected = AssembleEveryStepMarch(problem, grid);
+          ASSERT_TRUE(expected.ok()) << expected.status();
+          WorkMeter meter;
+          const auto actual = SolvePdeProfile(problem, grid, &meter);
+          ASSERT_TRUE(actual.ok()) << actual.status();
+          // Bit-exact, not approximately equal.
+          EXPECT_EQ(actual.value(), expected.value())
+              << "nx=" << nx << " nt=" << nt;
+          EXPECT_EQ(meter.ExecUnits(), grid.MeshEntries());
+          EXPECT_EQ(meter.Total(), grid.MeshEntries());
+        }
+      }
+    }
+  }
+}
+
+// dt = 1, dx = 1/4 and a = 1/32 make 2a dt/dx^2 = 1, so a reaction of -2
+// zeroes every interior diagonal: the first interior pivot is exactly 0.
+Pde1dProblem ZeroPivotProblem() {
+  Pde1dProblem p = LinearTerminalProblem();
+  p.diffusion = [](double) { return 1.0 / 32.0; };
+  p.reaction = [](double) { return -2.0; };
+  p.t_end = 3.0;
+  p.left_boundary = BoundaryKind::kDirichlet;
+  p.right_boundary = BoundaryKind::kDirichlet;
+  p.left_value = [](double) { return 1.0; };
+  p.right_value = [](double) { return 2.0; };
+  return p;
+}
+
+// A source of 1e308 per unit time with dt = 1 stays finite for one step
+// and overflows on the second.
+Pde1dProblem BlowUpProblem() {
+  Pde1dProblem p = ZeroPivotProblem();
+  p.diffusion = [](double) { return 1e-6; };
+  p.reaction = [](double) { return 0.0; };
+  p.source = [](double) { return 1e308; };
+  p.left_value = [](double) { return 0.0; };
+  p.right_value = [](double) { return 0.0; };
+  return p;
+}
+
+TEST(PdeSolverTest, FactoredMarchFailsLikeAssembleEveryStep) {
+  const PdeGrid grid{4, 3};
+  for (const Pde1dProblem& problem : {ZeroPivotProblem(), BlowUpProblem()}) {
+    const auto expected = AssembleEveryStepMarch(problem, grid);
+    ASSERT_FALSE(expected.ok());
+    EXPECT_EQ(expected.status().code(), StatusCode::kNumericError);
+    WorkMeter meter;
+    const auto actual = SolvePdeProfile(problem, grid, &meter);
+    ASSERT_FALSE(actual.ok());
+    EXPECT_EQ(actual.status().ToString(), expected.status().ToString());
+    EXPECT_EQ(meter.Total(), 0u);  // a failed solve charges nothing
+  }
+  EXPECT_EQ(SolvePdeProfile(ZeroPivotProblem(), grid, nullptr)
+                .status()
+                .message(),
+            "zero pivot at row 1");
 }
 
 // ---------------------------------------------------------------------------

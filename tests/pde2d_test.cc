@@ -121,6 +121,34 @@ TEST(Pde2dSolverTest, RejectsMalformedInputs) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(Pde2dSolverTest, LinearBoundariesNeedThreeIntervalsPerAxis) {
+  // F = 1 + x + 2y solves the pure diffusion problem and is linear at every
+  // edge. With two intervals on an axis both linear folds of a sweep line
+  // would land on its row 1, so such grids are rejected.
+  numeric::Pde2dProblem p;
+  p.diffusion_x = [](double, double) { return 1.0; };
+  p.diffusion_y = [](double, double) { return 0.5; };
+  p.convection_x = [](double, double) { return 0.0; };
+  p.convection_y = [](double, double) { return 0.0; };
+  p.reaction = [](double, double) { return 0.0; };
+  p.source = [](double, double) { return 0.0; };
+  p.terminal = [](double x, double y) { return 1.0 + x + 2.0 * y; };
+  for (const numeric::Pde2dGrid grid :
+       {numeric::Pde2dGrid{2, 8, 4}, numeric::Pde2dGrid{8, 2, 4}}) {
+    EXPECT_EQ(numeric::SolvePde2d(p, grid, 0.5, 0.5, nullptr).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  const auto exact =
+      numeric::SolvePde2d(p, numeric::Pde2dGrid{3, 4, 4}, 0.5, 0.5, nullptr);
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_NEAR(exact.value(), 2.5, 1e-12);
+
+  p.dirichlet_zero = true;  // no folds: two intervals are enough
+  EXPECT_TRUE(numeric::SolvePde2d(p, numeric::Pde2dGrid{2, 2, 4}, 0.5, 0.5,
+                                  nullptr)
+                  .ok());
+}
+
 TEST(Richardson3ModelTest, RecoversSyntheticCoefficients) {
   const double A = 100.0, K1 = 1.5, K2 = -200.0, K3 = 40.0;
   const double dt = 0.5, dx = 0.05, dy = 0.1;
