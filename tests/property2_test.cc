@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "common/rng.h"
 #include "finance/bond_model.h"
@@ -72,6 +73,10 @@ struct IvpCase {
   double t1;
   double exact;  // y(t1) with y(0) = 1
 };
+
+// Print the case by name: the default byte dump would include the address of
+// `name`, which changes from build to build and so changes the test's name.
+void PrintTo(const IvpCase& c, std::ostream* os) { *os << c.name; }
 
 class IvpSoundnessProperty : public ::testing::TestWithParam<IvpCase> {};
 
