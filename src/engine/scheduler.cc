@@ -34,8 +34,8 @@ struct PolicyCounters {
 // One cached counter set per policy (registry lookups happen once).
 const PolicyCounters& CountersFor(SchedulerPolicy policy) {
   static const auto* counters = [] {
-    auto* sets = new PolicyCounters[3];
-    for (int p = 0; p < 3; ++p) {
+    auto* sets = new PolicyCounters[4];
+    for (int p = 0; p < 4; ++p) {
       const obs::MetricsRegistry::Labels labels = {
           {"policy", SchedulerPolicyName(static_cast<SchedulerPolicy>(p))}};
       auto& registry = obs::MetricsRegistry::Global();
@@ -80,6 +80,8 @@ using GreedyHeap =
 
 const char* SchedulerPolicyName(SchedulerPolicy policy) {
   switch (policy) {
+    case SchedulerPolicy::kSequential:
+      return "sequential";
     case SchedulerPolicy::kGreedyGlobal:
       return "greedy_global";
     case SchedulerPolicy::kFairShare:
@@ -88,6 +90,14 @@ const char* SchedulerPolicyName(SchedulerPolicy policy) {
       return "deadline";
   }
   return "unknown";
+}
+
+std::size_t WorkScheduler::PickSequential(
+    const std::vector<Entry>& entries) const {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (!entries[i].task->Done()) return i;
+  }
+  return kNone;
 }
 
 std::size_t WorkScheduler::PickFairShare(
@@ -167,6 +177,8 @@ std::size_t WorkScheduler::PickNext(
     const std::vector<TaskScheduleStats>& stats,
     std::uint64_t total_spent) const {
   switch (options_.policy) {
+    case SchedulerPolicy::kSequential:
+      return PickSequential(entries);
     case SchedulerPolicy::kGreedyGlobal:
       return PickGreedy(entries);
     case SchedulerPolicy::kFairShare:
@@ -178,7 +190,8 @@ std::size_t WorkScheduler::PickNext(
 }
 
 Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
-    const std::vector<Entry>& entries, WorkMeter* meter) {
+    const std::vector<Entry>& entries, WorkMeter* meter,
+    std::vector<Status>* task_errors) {
   if (meter == nullptr) {
     return Status::InvalidArgument(
         "scheduler requires a work meter (it is the budget's clock)");
@@ -196,6 +209,7 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
   const obs::ScopedSpan run_span("scheduler",
                                  SchedulerPolicyName(options_.policy));
   std::vector<TaskScheduleStats> stats(entries.size());
+  if (task_errors != nullptr) task_errors->assign(entries.size(), Status::OK());
   std::uint64_t total_spent = 0;
   bool budget_exhausted = false;
 
@@ -243,12 +257,12 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
         obs::WorkByKind::Capture(*meter).DeltaSince(work_before);
     stats[idx].spent += delta;
     stats[idx].steps += 1;
-    stats[idx].work.exec += work_delta.exec;
-    stats[idx].work.get_state += work_delta.get_state;
-    stats[idx].work.store_state += work_delta.store_state;
-    stats[idx].work.choose_iter += work_delta.choose_iter;
+    stats[idx].work += work_delta;
     total_spent += delta;
-    if (!status.ok()) return status;
+    if (!status.ok()) {
+      if (task_errors == nullptr) return status;
+      (*task_errors)[idx] = status;  // the failed task is Done()
+    }
     if (task->Done()) {
       stats[idx].finished_at = total_spent;
     } else if (use_heap) {

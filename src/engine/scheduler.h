@@ -29,6 +29,10 @@ namespace vaolib::engine {
 
 /// \brief How the scheduler picks the next task to step.
 enum class SchedulerPolicy {
+  /// Plan order: step each task to completion before the next one starts.
+  /// This is unscheduled execution -- every query converges in turn over
+  /// the objects its predecessors already tightened.
+  kSequential,
   /// Global benefit/cost greedy: step the task whose next Step() promises
   /// the largest accuracy gain per work unit (a lazy max-heap over the
   /// tasks' self-calibrating estimates). Converges the whole query set
@@ -45,8 +49,8 @@ enum class SchedulerPolicy {
   kDeadline,
 };
 
-/// \brief Label value for \p policy ("greedy_global", "fair_share",
-/// "deadline").
+/// \brief Label value for \p policy ("sequential", "greedy_global",
+/// "fair_share", "deadline").
 const char* SchedulerPolicyName(SchedulerPolicy policy);
 
 /// \brief Per-query scheduling parameters.
@@ -117,9 +121,12 @@ class WorkScheduler {
   /// budget's clock). Tasks already Done() on entry are fine (their stats
   /// just record zero steps without counting as starved). Returns per-entry
   /// stats parallel to \p entries; a Step() error fails the run with that
-  /// task's Status.
+  /// task's Status -- unless \p task_errors is non-null: then each failing
+  /// task's Status lands there (parallel to \p entries, OK for the rest),
+  /// the failed task counts as finished, and the others keep running.
   Result<std::vector<TaskScheduleStats>> Run(
-      const std::vector<Entry>& entries, WorkMeter* meter);
+      const std::vector<Entry>& entries, WorkMeter* meter,
+      std::vector<Status>* task_errors = nullptr);
 
   const SchedulerOptions& options() const { return options_; }
 
@@ -130,6 +137,7 @@ class WorkScheduler {
                        const std::vector<TaskScheduleStats>& stats,
                        std::uint64_t total_spent) const;
 
+  std::size_t PickSequential(const std::vector<Entry>& entries) const;
   std::size_t PickGreedy(const std::vector<Entry>& entries) const;
   std::size_t PickFairShare(const std::vector<Entry>& entries,
                             const std::vector<TaskScheduleStats>& stats) const;

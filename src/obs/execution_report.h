@@ -41,6 +41,14 @@ struct WorkByKind {
   static WorkByKind Capture(const WorkMeter& meter);
   WorkByKind DeltaSince(const WorkByKind& before) const;
 
+  WorkByKind& operator+=(const WorkByKind& other) {
+    exec += other.exec;
+    get_state += other.get_state;
+    store_state += other.store_state;
+    choose_iter += other.choose_iter;
+    return *this;
+  }
+
   bool operator==(const WorkByKind&) const = default;
 };
 

@@ -8,8 +8,8 @@
 //
 // Wired triggers:
 //   * InvariantChecker violations (testing/invariant_checker.cc),
-//   * refinement-stall degradations (SingleObjectDecisionTask's stall
-//     error and CqExecutor's stall quarantine path),
+//   * refinement-stall degradations (a selection decision task's stall
+//     error or stall quarantine),
 //   * DifferentialRunner failing seeds, which clear the rings and re-run
 //     the failing combo first so the dump contains exactly that combo's
 //     decision sequence (the replayable artifact trace_test asserts on).

@@ -44,14 +44,7 @@ Status ValidateMinMaxInputs(const std::vector<vao::ResultObject*>& objects,
 
 Result<MinMaxOutcome> MinMaxVao::Evaluate(
     const std::vector<vao::ResultObject*>& objects) const {
-  // The whole convergence loop lives in the resumable task; Evaluate just
-  // drives it to completion (or to the work budget, when one is set).
-  VAOLIB_ASSIGN_OR_RETURN(auto task,
-                          MinMaxIterationTask::Create(options_, objects));
-  VAOLIB_ASSIGN_OR_RETURN(const bool finished,
-                          DriveTask(task.get(), options_));
-  (void)finished;  // Snapshot() reports convergence itself.
-  return task->Snapshot();
+  return EvaluateTask<MinMaxIterationTask>(options_, objects);
 }
 
 Result<MinMaxOutcome> OptimalExtremeOracle(

@@ -46,15 +46,7 @@ std::vector<double> AveWeights(std::size_t n) {
 Result<SumOutcome> SumAveVao::Evaluate(
     const std::vector<vao::ResultObject*>& objects,
     const std::vector<double>& weights) const {
-  // The whole convergence loop (scan and heap-indexed paths alike) lives in
-  // the resumable task; Evaluate just drives it to completion (or to the
-  // work budget, when one is set).
-  VAOLIB_ASSIGN_OR_RETURN(
-      auto task, SumAveIterationTask::Create(options_, objects, weights));
-  VAOLIB_ASSIGN_OR_RETURN(const bool finished,
-                          DriveTask(task.get(), options_));
-  (void)finished;  // Snapshot() reports convergence itself.
-  return task->Snapshot();
+  return EvaluateTask<SumAveIterationTask>(options_, objects, weights);
 }
 
 Result<TraditionalSumOutcome> TraditionalWeightedSum(

@@ -33,15 +33,7 @@ Status ValidateTopKInputs(const std::vector<vao::ResultObject*>& objects,
 
 Result<TopKOutcome> TopKVao::Evaluate(
     const std::vector<vao::ResultObject*>& objects) const {
-  // The whole boundary-separation and finalization loop lives in the
-  // resumable task; Evaluate just drives it to completion (or to the work
-  // budget, when one is set).
-  VAOLIB_ASSIGN_OR_RETURN(auto task,
-                          TopKIterationTask::Create(options_, objects));
-  VAOLIB_ASSIGN_OR_RETURN(const bool finished,
-                          DriveTask(task.get(), options_));
-  (void)finished;  // Snapshot() reports convergence itself.
-  return task->Snapshot();
+  return EvaluateTask<TopKIterationTask>(options_, objects);
 }
 
 }  // namespace vaolib::operators

@@ -8,9 +8,10 @@ namespace vaolib::vao {
 Result<std::vector<ResultObjectPtr>> InvokeAll(
     const VariableAccuracyFunction& function,
     const std::vector<std::vector<double>>& rows, int threads,
-    WorkMeter* meter) {
+    WorkMeter* meter, std::vector<Status>* row_status) {
   const std::size_t n = rows.size();
   std::vector<ResultObjectPtr> objects(n);
+  if (row_status != nullptr) row_status->assign(n, Status::OK());
   if (n == 0) return objects;
 
   // Every row is attempted; the body reports the first (lowest-indexed)
@@ -22,7 +23,12 @@ Result<std::vector<ResultObjectPtr>> InvokeAll(
     for (std::size_t i = begin; i < end; ++i) {
       auto object = function.Invoke(rows[i], meter);
       if (!object.ok()) {
-        if (first_error.ok()) first_error = object.status();
+        // Distinct indices per worker: no synchronization needed.
+        if (row_status != nullptr) {
+          (*row_status)[i] = object.status();
+        } else if (first_error.ok()) {
+          first_error = object.status();
+        }
         continue;
       }
       objects[i] = std::move(object).value();
@@ -100,13 +106,15 @@ Status ConvergeAllToMinWidth(const std::vector<ResultObject*>& objects,
                                           converge_range);
 }
 
-Status StepAll(const std::vector<ResultObject*>& objects, int threads) {
+Status StepAll(const std::vector<ResultObject*>& objects, int threads,
+               std::vector<Status>* statuses) {
   const std::size_t n = objects.size();
   for (const auto* object : objects) {
     if (object == nullptr) {
       return Status::InvalidArgument("null result object");
     }
   }
+  if (statuses != nullptr) statuses->assign(n, Status::OK());
   if (n == 0) return Status::OK();
 
   auto step_range = [&](std::size_t begin, std::size_t end,
@@ -114,6 +122,7 @@ Status StepAll(const std::vector<ResultObject*>& objects, int threads) {
     Status first_error;
     for (std::size_t i = begin; i < end; ++i) {
       const Status status = objects[i]->Iterate();
+      if (statuses != nullptr) (*statuses)[i] = status;
       if (!status.ok() && first_error.ok()) first_error = status;
     }
     return first_error;

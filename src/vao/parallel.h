@@ -36,11 +36,13 @@ namespace vaolib::vao {
 ///
 /// Error semantics: every row is attempted even after a failure, and the
 /// returned error is deterministically that of the lowest-indexed failing
-/// row regardless of thread count.
+/// row regardless of thread count. With a non-null \p row_status, failures
+/// are per row instead: (*row_status)[i] carries row i's Status, a failed
+/// row's object is null, and the call itself succeeds.
 Result<std::vector<ResultObjectPtr>> InvokeAll(
     const VariableAccuracyFunction& function,
     const std::vector<std::vector<double>>& rows, int threads,
-    WorkMeter* meter);
+    WorkMeter* meter, std::vector<Status>* row_status = nullptr);
 
 /// \brief Converges every object to its minWidth using up to \p threads
 /// workers (each object is driven by exactly one worker, so per-object
@@ -70,8 +72,10 @@ Status ConvergeAllToMinWidth(const std::vector<ResultObject*>& objects,
 /// of errors elsewhere.
 ///
 /// Error semantics: every object is attempted even after a failure; returns
-/// the error of the lowest-indexed failing object, deterministically.
-Status StepAll(const std::vector<ResultObject*>& objects, int threads);
+/// the error of the lowest-indexed failing object, deterministically. With a
+/// non-null \p statuses, (*statuses)[i] also carries object i's Status.
+Status StepAll(const std::vector<ResultObject*>& objects, int threads,
+               std::vector<Status>* statuses = nullptr);
 
 }  // namespace vaolib::vao
 

@@ -193,7 +193,7 @@ TEST_F(MultiQueryTest, ApproxQueriesRunInSharedAndScheduledModes) {
 
   for (const bool scheduled : {false, true}) {
     MultiQueryOptions options;
-    options.scheduled = scheduled;
+    if (scheduled) options.scheduler.policy = SchedulerPolicy::kGreedyGlobal;
     auto executor = MultiQueryExecutor::Create(relation_.get(),
                                                StreamSchema(), queries,
                                                options);
