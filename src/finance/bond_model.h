@@ -52,6 +52,8 @@ class BondPricingFunction : public vao::VariableAccuracyFunction {
   Result<vao::ResultObjectPtr> Invoke(const std::vector<double>& args,
                                       WorkMeter* meter) const override;
 
+  double min_width() const override { return config_.pde.min_width; }
+
   const std::vector<Bond>& bonds() const { return bonds_; }
   const BondModelConfig& config() const { return config_; }
 

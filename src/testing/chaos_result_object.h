@@ -144,6 +144,7 @@ class ChaosFunction : public vao::VariableAccuracyFunction {
   int arity() const override { return inner_->arity(); }
   Result<vao::ResultObjectPtr> Invoke(const std::vector<double>& args,
                                       WorkMeter* meter) const override;
+  double min_width() const override { return inner_->min_width(); }
 
   /// The plan Invoke() would apply to \p args on its first call.
   FaultPlan PlanFor(const std::vector<double>& args) const;

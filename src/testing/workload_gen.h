@@ -8,6 +8,7 @@
 #ifndef VAOLIB_TESTING_WORKLOAD_GEN_H_
 #define VAOLIB_TESTING_WORKLOAD_GEN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -36,6 +37,13 @@ class SyntheticTableFunction : public vao::VariableAccuracyFunction {
   /// \return InvalidArgument when args[0] is not an integral row id in range.
   Result<vao::ResultObjectPtr> Invoke(const std::vector<double>& args,
                                       WorkMeter* meter) const override;
+  double min_width() const override {
+    double widest = 0.0;
+    for (const auto& config : configs_) {
+      widest = std::max(widest, config.min_width);
+    }
+    return widest;
+  }
 
   std::size_t rows() const { return configs_.size(); }
   double true_value(std::size_t row) const {

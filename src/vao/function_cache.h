@@ -136,6 +136,7 @@ class CachingFunction : public VariableAccuracyFunction {
   int arity() const override { return inner_->arity(); }
   Result<ResultObjectPtr> Invoke(const std::vector<double>& args,
                                  WorkMeter* meter) const override;
+  double min_width() const override { return inner_->min_width(); }
 
   const BoundsCache& cache() const { return *cache_; }
 

@@ -149,6 +149,10 @@ class VariableAccuracyFunction {
   /// begins with the coarsest bounds the implementation supports.
   virtual Result<ResultObjectPtr> Invoke(const std::vector<double>& args,
                                          WorkMeter* meter) const = 0;
+
+  /// The largest minWidth any result object of this function can have, or
+  /// 0 when unknown. A precision constraint below it can never be met.
+  virtual double min_width() const { return 0.0; }
 };
 
 }  // namespace vaolib::vao
