@@ -380,8 +380,9 @@ TEST(FlightRecorderTest, PredicateStallTriggersDump) {
   config.min_width = 0.01;
   config.meter = &meter;
   vao::SyntheticResultObject object(config);
-  auto task = operators::SingleObjectDecisionTask::Create(
-      &object, "trace_test", [](const Bounds&) { return true; });
+  auto task = operators::MultiRowDecisionTask::Create(
+      {&object}, "trace_test", [](const Bounds&) { return true; },
+      /*threads=*/1, operators::RowFaultPolicy::kFailTask);
   ASSERT_TRUE(task.ok()) << task.status();
 
   Status status = Status::OK();
