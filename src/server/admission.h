@@ -56,8 +56,8 @@ struct TenantUsage {
   std::size_t queries = 0;  ///< live standing queries
   std::size_t objects = 0;  ///< live queries x relation rows
   std::uint64_t work_units = 0;          ///< cumulative scheduled spend
-  std::uint64_t results = 0;             ///< RESULT frames produced
-  std::uint64_t unconverged_results = 0; ///< budget ran out first
+  std::uint64_t results = 0;             ///< answers due (RESULT or ERR)
+  std::uint64_t unconverged_results = 0; ///< budget ran out, or it failed
   std::uint64_t deadline_misses = 0;
   std::uint64_t shed_queries = 0;  ///< standing queries evicted by overload
   std::uint64_t rejected_registrations = 0;

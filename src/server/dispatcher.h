@@ -12,8 +12,8 @@
 //   1. Budget exhaustion: the scheduler stops granting work and every
 //      unfinished query still answers with a sound partial [L,H] interval,
 //      delivered with converged=0 (the paper's budget-exhaustion path).
-//   2. Shedding: a best-effort query that stayed unconverged for
-//      `shed_after_misses` consecutive ticks is evicted -- its owner gets a
+//   2. Shedding: a best-effort query that stayed unconverged (or failed)
+//      for `shed_after_misses` consecutive ticks is evicted -- its owner gets a
 //      SHED frame with RETRY-AFTER -- so a persistently oversubscribed
 //      server returns to a query set it can serve. Reserved tenants are
 //      never shed; their admission reserves guarantee them budget first.
@@ -69,7 +69,8 @@ struct DispatcherConfig {
   /// Threads for shared object creation / row-parallel phases.
   int threads = 1;
   /// Evict a best-effort standing query after this many CONSECUTIVE
-  /// unconverged ticks (0 disables eviction). Reserved tenants are exempt.
+  /// unconverged or failed ticks (0 disables eviction). Reserved tenants
+  /// are exempt.
   int shed_after_misses = 3;
   /// Iteration strategy for every group's aggregate operators.
   /// kCalibratedGreedy / kSentinelGreedy turn on calibration-corrected
