@@ -3,9 +3,11 @@
 // against round-robin and uniform-random iteration over the same workloads:
 // MAX over the real portfolio, and SUM with 80% of the weight on the hot
 // set. Expected: greedy <= round-robin/random work, often by a wide margin
-// for SUM (where skewed weights are the whole opportunity).
+// for SUM (where skewed weights are the whole opportunity). Writes
+// BENCH_strategies.json (RenderJson).
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 
 #include "bench_util.h"
@@ -18,22 +20,6 @@
 
 using namespace vaolib;
 using namespace vaolib::bench;
-
-namespace {
-
-const char* StrategyName(operators::StrategyKind strategy) {
-  switch (strategy) {
-    case operators::StrategyKind::kGreedy:
-      return "greedy";
-    case operators::StrategyKind::kRoundRobin:
-      return "round-robin";
-    case operators::StrategyKind::kRandom:
-      return "random";
-  }
-  return "?";
-}
-
-}  // namespace
 
 int main() {
   BenchContext context = MakeContext();
@@ -81,7 +67,7 @@ int main() {
     if (strategy == operators::StrategyKind::kGreedy) {
       greedy_units = meter.Total();
     }
-    table.AddRow({"MAX", StrategyName(strategy),
+    table.AddRow({"MAX", operators::StrategyKindName(strategy),
                   TableWriter::Cell(meter.Total()),
                   TableWriter::Cell(context.EstSeconds(meter.Total()), 4),
                   TableWriter::Cell(wall.ElapsedSeconds(), 4),
@@ -133,7 +119,7 @@ int main() {
     if (strategy == operators::StrategyKind::kGreedy) {
       greedy_units = meter.Total();
     }
-    table.AddRow({"SUM(hot=80%)", StrategyName(strategy),
+    table.AddRow({"SUM(hot=80%)", operators::StrategyKindName(strategy),
                   TableWriter::Cell(meter.Total()),
                   TableWriter::Cell(context.EstSeconds(meter.Total()), 4),
                   TableWriter::Cell(wall.ElapsedSeconds(), 4),
@@ -146,5 +132,12 @@ int main() {
   table.RenderText(std::cout);
   std::printf("\ncsv:\n");
   table.RenderCsv(std::cout);
+  std::ofstream json("BENCH_strategies.json");
+  if (!json) {
+    std::fprintf(stderr, "cannot open BENCH_strategies.json for writing\n");
+    return 1;
+  }
+  table.RenderJson(json);
+  std::printf("\nwrote BENCH_strategies.json\n");
   return 0;
 }

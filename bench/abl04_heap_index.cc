@@ -3,9 +3,10 @@
 // queues could make it sublinear, unnecessary at 500 bonds. This ablation
 // scales N with cheap synthetic result objects until the scan cost matters,
 // comparing the O(N) scan against the lazy-heap index on chooseIter units
-// and wall time.
+// and wall time. Writes BENCH_heap_index.json (RenderJson).
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -90,5 +91,12 @@ int main() {
   table.RenderText(std::cout);
   std::printf("\ncsv:\n");
   table.RenderCsv(std::cout);
+  std::ofstream json("BENCH_heap_index.json");
+  if (!json) {
+    std::fprintf(stderr, "cannot open BENCH_heap_index.json for writing\n");
+    return 1;
+  }
+  table.RenderJson(json);
+  std::printf("\nwrote BENCH_heap_index.json\n");
   return 0;
 }
