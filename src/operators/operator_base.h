@@ -47,9 +47,8 @@ enum class StrategyKind {
                  ///< K = OperatorOptions::batch_k, K=1 == kGreedy exactly
   /// Greedy over calibration-corrected estimates: each candidate's
   /// estCPU/estL/estH is rescaled by the per-(object, kind) CostHistory
-  /// ratios when available, else by the live CalibrationSnapshot bias for
-  /// its solver kind. Zero-history, zero-sample candidates score on their
-  /// raw estimates bit-exactly, so with no feedback this is kGreedy.
+  /// ratios when available. Zero-history candidates score on their raw
+  /// estimates bit-exactly, so with no feedback this is kGreedy.
   kCalibratedGreedy,
   /// kCalibratedGreedy plus sentinel re-ranking: a small probe budget is
   /// spent on the cheapest members of each correlation group (objects
@@ -123,8 +122,8 @@ struct OperatorOptions {
   /// Probes per correlation group under kSentinelGreedy (clamped to group
   /// size - 1; groups of one are never probed).
   int sentinel_probes = 2;
-  /// Test-only (differential mutation mode): inverts the correction ratios
-  /// and bias signs, so corrections actively worsen estimates. The sweep's
+  /// Test-only (differential mutation mode): inverts the correction
+  /// ratios, so corrections actively worsen estimates. The sweep's
   /// calibration audit must catch this.
   bool mutate_flip_correction = false;
   /// @}

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "obs/metrics.h"
 
 namespace vaolib::operators {
 
@@ -34,9 +33,7 @@ ScoreCorrector::ScoreCorrector(const OperatorOptions& options,
       correcting_(StrategyUsesCorrections(options.strategy)),
       probing_(options.strategy == StrategyKind::kSentinelGreedy),
       flip_(options.mutate_flip_correction),
-      sentinel_probes_(std::max(options.sentinel_probes, 0)) {
-  if (correcting_) snapshot_ = obs::CalibrationSnapshot::Capture();
-}
+      sentinel_probes_(std::max(options.sentinel_probes, 0)) {}
 
 std::uint64_t ScoreCorrector::IdOf(std::size_t i) const {
   if (object_ids_ != nullptr && i < object_ids_->size()) {
@@ -97,26 +94,7 @@ ScoreCorrector::Corrected ScoreCorrector::Correct(std::size_t i,
                        group_of_[i]->shrink_ratio);
   }
 
-  // (3) Global calibration bias for the object's solver kind (additive:
-  // the histograms accumulate actual - est errors).
-  if (kind >= 0 && kind < obs::kNumSolverKinds &&
-      snapshot_.kinds[kind].samples > 0) {
-    const auto& k = snapshot_.kinds[kind];
-    const double sign = flip_ ? -1.0 : 1.0;
-    Corrected out;
-    out.cost = std::max(1.0, raw_cost + sign * k.CostBias());
-    double lo = est.lo + sign * k.LoBias();
-    double hi = est.hi + sign * k.HiBias();
-    // Renest inside the current bounds (a prediction outside them is
-    // useless to the benefit formulas and would break their invariants).
-    lo = std::min(std::max(lo, cur.lo), cur.hi);
-    hi = std::min(std::max(hi, lo), cur.hi);
-    out.est = Bounds(lo, hi);
-    out.changed = true;
-    return out;
-  }
-
-  // (4) No signal: raw estimates, bit-exactly.
+  // (3) No signal: raw estimates, bit-exactly.
   return Corrected{raw_cost, est, false};
 }
 

@@ -7,9 +7,10 @@
 //   * Correct: rescales a candidate's raw estCPU/estL/estH before the
 //     greedy comparison. Precedence per candidate: (1) the per-(object,
 //     kind) CostFeedback history, (2) the sentinel fit of the object's
-//     correlation group, (3) the live CalibrationSnapshot bias for the
-//     object's solver kind. A candidate matching none of the three scores
-//     on its raw estimates bit-exactly.
+//     correlation group. A candidate matching neither scores on its raw
+//     estimates bit-exactly. Corrections come only from the task's own
+//     inputs, never from process-wide state, so a query spends the same
+//     work whatever ran before it in the process.
 //   * Probe: under kSentinelGreedy, overrides the strategy's pick until
 //     each correlation group's probe quota (the cheapest members by raw
 //     estCPU) has been observed; the observed-vs-predicted ratios fitted
@@ -21,8 +22,8 @@
 //     on paths whose iterate sequence is thread-count invariant, so the
 //     history an operator run leaves behind is too.
 //
-// Everything is inert (no allocation, no snapshot capture) unless the
-// options enable feedback or a corrected strategy.
+// Everything is inert (no allocation) unless the options enable feedback
+// or a corrected strategy.
 
 #ifndef VAOLIB_OPERATORS_SCORE_CORRECTOR_H_
 #define VAOLIB_OPERATORS_SCORE_CORRECTOR_H_
@@ -34,7 +35,6 @@
 
 #include "common/bounds.h"
 #include "common/work_meter.h"
-#include "obs/trace.h"
 #include "operators/operator_base.h"
 #include "vao/result_object.h"
 
@@ -43,8 +43,7 @@ namespace vaolib::operators {
 class ScoreCorrector {
  public:
   /// \p objects must outlive the corrector (the owning task guarantees
-  /// this). Captures the live CalibrationSnapshot when the strategy is a
-  /// corrected one.
+  /// this).
   ScoreCorrector(const OperatorOptions& options,
                  const std::vector<vao::ResultObject*>& objects);
 
@@ -131,7 +130,6 @@ class ScoreCorrector {
   bool probing_ = false;
   bool flip_ = false;
   int sentinel_probes_ = 0;
-  obs::CalibrationSnapshot snapshot_;
 
   bool groups_built_ = false;
   std::map<std::string, Group> groups_;
