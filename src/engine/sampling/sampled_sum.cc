@@ -79,15 +79,7 @@ std::size_t SampledSumTask::SampleCap() const {
 
 double SampledSumTask::ObjectScore(std::size_t i) const {
   if (!active_[i]) return 0.0;
-  const vao::ResultObject& object = *objects_[i];
-  const Bounds cur = object.bounds();
-  const Bounds est = object.est_bounds();
-  const double w = std::abs(weights_[i]);
-  const double reduction =
-      std::max(0.0, w * ((est.lo - cur.lo) + (cur.hi - est.hi)));
-  const double cost =
-      static_cast<double>(std::max<std::uint64_t>(object.est_cost(), 1));
-  return reduction / cost;
+  return operators::SumGreedyScore(*objects_[i], std::abs(weights_[i]));
 }
 
 double SampledSumTask::Estimate() const {

@@ -13,14 +13,17 @@ namespace {
 // cycle, first maximum winning ties; when no candidate predicts progress
 // (estimates can be wrong), the one with the largest actual width measure,
 // so the real bounds keep tightening and termination conditions eventually
-// fire.
+// fire. ChooseBatch is the batch tier's form (kBatchGreedy): the K best
+// candidates per cycle, ranked by score descending with enumeration order
+// breaking ties (by actual width when nothing predicts progress), so its
+// top-1 is exactly Choose().
 class GreedyStrategy : public IterationStrategy {
  public:
-  // The corrected strategies (kCalibratedGreedy, kSentinelGreedy) share
-  // this comparison logic verbatim -- their corrections are applied to the
-  // candidates' benefit/cost by the IterationTask before Choose() runs --
-  // so they differ here only by name.
-  explicit GreedyStrategy(const char* name = "greedy") : name_(name) {}
+  // Every greedy kind is this class, named after its kind: the aggregates
+  // ask for more than one pick only under kBatchGreedy, and the corrected
+  // strategies' corrections are applied to the candidates' benefit/cost
+  // before the choice runs.
+  explicit GreedyStrategy(const char* name) : name_(name) {}
 
   const char* name() const override { return name_; }
   bool WantsScores() const override { return true; }
@@ -50,51 +53,16 @@ class GreedyStrategy : public IterationStrategy {
     return chosen;
   }
 
- private:
-  const char* name_;
-};
-
-// The batch tier's chooseIter: the same scoring as GreedyStrategy, but
-// taking the K best candidates per cycle instead of one. Ranking is by
-// score descending with enumeration order breaking ties, so the top-1 is
-// exactly the greedy first-maximum and K=1 reproduces GreedyStrategy; when
-// no candidate predicts progress, ranking falls back to actual widths, as
-// in the scalar fallback scan.
-class BatchGreedyStrategy : public IterationStrategy {
- public:
-  const char* name() const override { return "batch_greedy"; }
-  bool WantsScores() const override { return true; }
-
-  std::size_t Choose(
-      const std::vector<IterationCandidate>& candidates) override {
-    std::size_t chosen = candidates.front().index;
-    double best_score = -1.0;
-    for (const IterationCandidate& c : candidates) {
-      const double score = c.benefit / c.cost;
-      if (score > best_score) {
-        best_score = score;
-        chosen = c.index;
-      }
-    }
-    if (best_score <= 0.0) {
-      double widest = -1.0;
-      for (const IterationCandidate& c : candidates) {
-        if (c.width > widest) {
-          widest = c.width;
-          chosen = c.index;
-        }
-      }
-    }
-    return chosen;
-  }
-
   void ChooseBatch(const std::vector<IterationCandidate>& candidates,
                    std::size_t max_batch,
                    std::vector<std::size_t>* chosen) override {
+    if (max_batch <= 1) {
+      chosen->assign(1, Choose(candidates));
+      return;
+    }
     const obs::ScopedSpan span("strategy", "batch_greedy_choose",
                                obs::TraceDetail::kFine);
-    const std::size_t take = std::min(
-        std::max<std::size_t>(max_batch, 1), candidates.size());
+    const std::size_t take = std::min(max_batch, candidates.size());
     std::vector<std::size_t> order(candidates.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
 
@@ -120,6 +88,9 @@ class BatchGreedyStrategy : public IterationStrategy {
       chosen->push_back(candidates[order[i]].index);
     }
   }
+
+ private:
+  const char* name_;
 };
 
 class RoundRobinStrategy : public IterationStrategy {
@@ -164,7 +135,11 @@ Result<std::unique_ptr<IterationStrategy>> MakeStrategy(StrategyKind kind,
                                                         Rng* rng) {
   switch (kind) {
     case StrategyKind::kGreedy:
-      return std::unique_ptr<IterationStrategy>(new GreedyStrategy());
+    case StrategyKind::kBatchGreedy:
+    case StrategyKind::kCalibratedGreedy:
+    case StrategyKind::kSentinelGreedy:
+      return std::unique_ptr<IterationStrategy>(
+          new GreedyStrategy(StrategyKindName(kind)));
     case StrategyKind::kRoundRobin:
       return std::unique_ptr<IterationStrategy>(new RoundRobinStrategy());
     case StrategyKind::kRandom:
@@ -172,14 +147,6 @@ Result<std::unique_ptr<IterationStrategy>> MakeStrategy(StrategyKind kind,
         return Status::InvalidArgument("random strategy requires an Rng");
       }
       return std::unique_ptr<IterationStrategy>(new RandomStrategy(rng));
-    case StrategyKind::kBatchGreedy:
-      return std::unique_ptr<IterationStrategy>(new BatchGreedyStrategy());
-    case StrategyKind::kCalibratedGreedy:
-      return std::unique_ptr<IterationStrategy>(
-          new GreedyStrategy("calibrated_greedy"));
-    case StrategyKind::kSentinelGreedy:
-      return std::unique_ptr<IterationStrategy>(
-          new GreedyStrategy("sentinel_greedy"));
   }
   return Status::InvalidArgument("unknown strategy kind");
 }

@@ -44,7 +44,9 @@ class IterationStrategy {
  public:
   virtual ~IterationStrategy() = default;
 
-  /// Source-level name ("greedy", "round_robin", "random").
+  /// Source-level name, StrategyKindName() of its kind: "greedy",
+  /// "round_robin", "random", "batch_greedy", "calibrated_greedy" or
+  /// "sentinel_greedy".
   virtual const char* name() const = 0;
 
   /// True when Choose() reads benefit/cost/width. Operators skip computing
@@ -60,9 +62,10 @@ class IterationStrategy {
 
   /// Fills \p chosen with up to \p max_batch candidate *input indices* for
   /// one cycle, best first, never empty for non-empty \p candidates. The
-  /// base implementation picks exactly Choose() -- one object per cycle --
-  /// so only batch-aware strategies (kBatchGreedy) ever return more. With
-  /// max_batch <= 1 every implementation must reproduce Choose() exactly.
+  /// base implementation picks exactly Choose() -- one object per cycle;
+  /// the greedy strategy ranks the top \p max_batch (the aggregates ask for
+  /// more than one only under kBatchGreedy). With max_batch <= 1 every
+  /// implementation must reproduce Choose() exactly.
   virtual void ChooseBatch(const std::vector<IterationCandidate>& candidates,
                            std::size_t max_batch,
                            std::vector<std::size_t>* chosen) {

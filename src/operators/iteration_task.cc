@@ -27,21 +27,15 @@ Bounds Unview(const Bounds& b, ExtremeKind kind) {
   return kind == ExtremeKind::kMax ? b : Bounds(-b.hi, -b.lo);
 }
 
-// Greedy score ingredients of Section 5.2: weighted predicted error
-// reduction and estimated CPU cycles (the strategy divides them).
-double SumReduction(const vao::ResultObject& object, double weight) {
-  const Bounds cur = object.bounds();
-  const Bounds est = object.est_bounds();
+// Weighted predicted error reduction of Section 5.2 for an object at \p cur
+// predicted to tighten to \p est.
+double SumReduction(const Bounds& cur, const Bounds& est, double weight) {
   return std::max(0.0, weight * ((est.lo - cur.lo) + (cur.hi - est.hi)));
 }
 
 double EstCostOf(const vao::ResultObject& object) {
   return static_cast<double>(
       std::max<std::uint64_t>(object.est_cost(), 1));
-}
-
-double GreedyScore(const vao::ResultObject& object, double weight) {
-  return SumReduction(object, weight) / EstCostOf(object);
 }
 
 std::uint64_t Log2Ceil(std::size_t n) {
@@ -92,33 +86,17 @@ DecisionCapture BeginDecision(const char* op, const char* phase,
   return capture;
 }
 
+// Without a meter the actual cost is whatever the caller attributed.
 void CommitDecision(DecisionCapture* capture) {
   if (!capture->active) return;
   const Bounds after = capture->object->bounds();
   capture->decision.lo_after = after.lo;
   capture->decision.hi_after = after.hi;
-  capture->decision.actual_cost =
-      capture->meter != nullptr
-          ? static_cast<double>(capture->meter->Total() -
-                                capture->work_before)
-          : 0.0;
+  if (capture->meter != nullptr) {
+    capture->decision.actual_cost = static_cast<double>(
+        capture->meter->Total() - capture->work_before);
+  }
   obs::RecordDecision(capture->decision);
-}
-
-// Iterates the chosen object \p i once, with its decision traced and the
-// score corrector observing the outcome.
-Status IterateTraced(const char* op, const char* phase, std::size_t i,
-                     vao::ResultObject* object, ScoreCorrector* corrector,
-                     WorkMeter* meter, double score, double raw_score,
-                     OperatorStats* stats) {
-  DecisionCapture trace =
-      BeginDecision(op, phase, i, *object, meter, score, raw_score);
-  const ScoreCorrector::Observation observation =
-      corrector->BeginObserve(i, meter);
-  VAOLIB_RETURN_IF_ERROR(object->Iterate());
-  CommitDecision(&trace);
-  corrector->CommitObserve(observation, stats);
-  return Status::OK();
 }
 
 // The greedy benefit/cost score of the candidate the strategy picked (zero
@@ -133,143 +111,12 @@ double ChosenScore(const std::vector<IterationCandidate>& candidates,
   return 0.0;
 }
 
-// One batch cycle through the batch execution tier: capture every chosen
-// object's decision before-state up front, hand the whole set to
-// vao::IterateBatch (which routes compatible objects through the lockstep
-// kernels), then record decisions in chosen order with actual_cost taken
-// from the per-object spend the batch tier attributes -- those spends sum
-// exactly to the shared meter's delta, so traces and accounting match the
-// scalar path. Returns the first failing object's status.
-Status IterateChosenBatch(const char* op, const char* phase,
-                          const std::vector<vao::ResultObject*>& objects,
-                          const std::vector<std::size_t>& chosen,
-                          const std::vector<double>& scores,
-                          const std::vector<double>& raw_scores,
-                          WorkMeter* meter,
-                          vao::BatchIterateOutcome* outcome) {
-  const bool tracing = obs::DecisionTraceActive();
-  std::vector<obs::Decision> decisions;
-  if (tracing) {
-    decisions.reserve(chosen.size());
-    for (std::size_t j = 0; j < chosen.size(); ++j) {
-      const std::size_t i = chosen[j];
-      obs::Decision decision;
-      decision.op = op;
-      decision.phase = phase;
-      decision.object_index = static_cast<std::uint64_t>(i);
-      const Bounds before = objects[i]->bounds();
-      decision.lo_before = before.lo;
-      decision.hi_before = before.hi;
-      const Bounds est = objects[i]->est_bounds();
-      decision.est_lo = est.lo;
-      decision.est_hi = est.hi;
-      decision.est_cost = static_cast<double>(objects[i]->est_cost());
-      decision.score = scores[j];
-      decision.raw_score = j < raw_scores.size() ? raw_scores[j] : scores[j];
-      decisions.push_back(decision);
-    }
-  }
-
-  std::vector<vao::ResultObject*> batch;
-  batch.reserve(chosen.size());
-  for (const std::size_t i : chosen) batch.push_back(objects[i]);
-  *outcome = vao::IterateBatch(batch, meter);
-
-  Status first_error;
-  for (std::size_t j = 0; j < chosen.size(); ++j) {
-    if (tracing) {
-      const Bounds after = objects[chosen[j]]->bounds();
-      decisions[j].lo_after = after.lo;
-      decisions[j].hi_after = after.hi;
-      decisions[j].actual_cost = static_cast<double>(outcome->spent[j]);
-      obs::RecordDecision(decisions[j]);
-    }
-    if (first_error.ok() && !outcome->statuses[j].ok()) {
-      first_error = outcome->statuses[j];
-    }
-  }
-  return first_error;
-}
-
-// One batch cycle (kBatchGreedy with batch_k > 1): the picked candidates
-// refine together through the lockstep kernels, each observation is
-// committed with its attributed spend, and \p observe validates and records
-// each refined object, in pick order.
-Status BatchCycle(const char* op, const char* phase,
-                  const std::vector<vao::ResultObject*>& objects,
-                  const std::vector<std::size_t>& picks,
-                  const std::vector<double>& scores,
-                  const std::vector<double>& raw_scores,
-                  ScoreCorrector* corrector, WorkMeter* meter,
-                  OperatorStats* stats,
-                  const std::function<Status(std::size_t)>& observe) {
-  std::vector<ScoreCorrector::Observation> observations;
-  observations.reserve(picks.size());
-  for (const std::size_t i : picks) {
-    observations.push_back(corrector->BeginObserve(i, nullptr));
-  }
-  vao::BatchIterateOutcome batch_outcome;
-  VAOLIB_RETURN_IF_ERROR(IterateChosenBatch(op, phase, objects, picks, scores,
-                                            raw_scores, meter,
-                                            &batch_outcome));
-  for (std::size_t j = 0; j < picks.size(); ++j) {
-    corrector->CommitObserveCost(
-        observations[j], static_cast<double>(batch_outcome.spent[j]), stats);
-    VAOLIB_RETURN_IF_ERROR(observe(picks[j]));
-    ++stats->greedy_iterations;
-  }
-  stats->iterations += picks.size();
-  return Status::OK();
-}
-
-// The candidates' greedy scores, in pick order (corrected and raw).
-void PickScores(const std::vector<std::size_t>& picks,
-                const std::vector<IterationCandidate>& candidates,
-                const std::vector<IterationCandidate>& raws,
-                std::vector<double>* scores, std::vector<double>* raw_scores) {
-  for (const std::size_t i : picks) {
-    scores->push_back(ChosenScore(candidates, i));
-    raw_scores->push_back(ChosenScore(raws, i));
-  }
-}
-
-// Batch width of one adaptive cycle: only the batch-aware strategies read
-// OperatorOptions::batch_k; everything else stays at the paper's one object
-// per cycle.
-std::size_t CycleBatchK(const OperatorOptions& options) {
-  if (options.strategy != StrategyKind::kBatchGreedy) return 1;
-  return static_cast<std::size_t>(std::max(options.batch_k, 1));
-}
-
-// Fills the object counts of an aggregate's stats: objects iterated at least
-// once, and objects quarantined after a refinement stall.
-void CountObjects(const std::vector<bool>& touched,
-                  const std::vector<StallGuard>& stall, OperatorStats* stats) {
-  stats->objects_touched = static_cast<std::uint64_t>(
-      std::count(touched.begin(), touched.end(), true));
-  stats->stalled_objects = static_cast<std::uint64_t>(
-      std::count_if(stall.begin(), stall.end(),
-                    [](const StallGuard& guard) { return guard.stalled(); }));
-}
-
-// The aggregates' optional parallel pre-phase: bulk-converge every object to
-// the coarse width on the pool; the greedy search starts from those states.
-Status CoarsePhase(const std::vector<vao::ResultObject*>& objects,
-                   const OperatorOptions& options, std::vector<bool>* touched,
-                   OperatorStats* stats) {
-  std::vector<std::uint64_t> coarse_iterations;
-  VAOLIB_RETURN_IF_ERROR(ParallelCoarseConverge(
-      objects, options.threads, options.coarse_width, options.coarse_max_steps,
-      &coarse_iterations));
-  for (std::size_t i = 0; i < coarse_iterations.size(); ++i) {
-    stats->iterations += coarse_iterations[i];
-    stats->coarse_iterations += coarse_iterations[i];
-    if (coarse_iterations[i] > 0) (*touched)[i] = true;
-  }
-  return Status::OK();
-}
-
 }  // namespace
+
+double SumGreedyScore(const vao::ResultObject& object, double weight) {
+  return SumReduction(object.bounds(), object.est_bounds(), weight) /
+         EstCostOf(object);
+}
 
 // ---------------------------------------------------------------------------
 // IterationTask base
@@ -321,6 +168,185 @@ Result<bool> DriveTask(IterationTask* task, const OperatorOptions& options) {
 }
 
 // ---------------------------------------------------------------------------
+// AggregateTask: the shared choose-and-refine core
+// ---------------------------------------------------------------------------
+
+AggregateTask::AggregateTask(const OperatorOptions& options,
+                             const std::vector<vao::ResultObject*>& objects,
+                             std::unique_ptr<IterationStrategy> strategy,
+                             const char* label)
+    : objects_(objects),
+      // Only the batch-aware strategy reads batch_k; everything else stays
+      // at the paper's one object per cycle.
+      batch_k_(options.strategy == StrategyKind::kBatchGreedy
+                   ? static_cast<std::size_t>(std::max(options.batch_k, 1))
+                   : 1),
+      label_(label),
+      max_iterations_(options.max_total_iterations),
+      strategy_(std::move(strategy)),
+      corrector_(options, objects_),
+      stall_(objects.size()),
+      touched_(objects.size(), false) {}
+
+bool AggregateTask::EffectivelyConverged(std::size_t i) const {
+  return objects_[i]->AtStoppingCondition() || stall_[i].stalled();
+}
+
+Status AggregateTask::CoarsePhase(const OperatorOptions& options) {
+  std::vector<std::uint64_t> coarse_iterations;
+  VAOLIB_RETURN_IF_ERROR(ParallelCoarseConverge(
+      objects_, options.threads, options.coarse_width,
+      options.coarse_max_steps, &coarse_iterations));
+  for (std::size_t i = 0; i < coarse_iterations.size(); ++i) {
+    stats_.iterations += coarse_iterations[i];
+    stats_.coarse_iterations += coarse_iterations[i];
+    if (coarse_iterations[i] > 0) touched_[i] = true;
+  }
+  return Status::OK();
+}
+
+template <typename Benefit, typename Width>
+Status AggregateTask::ChooseAndRefine(const std::vector<std::size_t>& iterable,
+                                      std::uint64_t choose_work,
+                                      const char* phase,
+                                      const Benefit& benefit,
+                                      const Width& width, WorkMeter* meter) {
+  ++stats_.choose_steps;
+  if (meter != nullptr) meter->Charge(WorkKind::kChooseIter, choose_work);
+
+  // Sentinel probing (kSentinelGreedy): spend this cycle on a pending
+  // correlation-group probe instead of the greedy pick; the observed
+  // outcome re-ranks the probe's whole group.
+  std::size_t probe = 0;
+  if (corrector_.NextProbe(iterable, &probe)) {
+    return Refine(probe, "sentinel", 0.0, 0.0, &stats_.greedy_iterations,
+                  meter);
+  }
+
+  // Candidates scored on raw estimates, then corrected in place under a
+  // corrected strategy; the raw copies feed the decision trace.
+  std::vector<IterationCandidate> candidates;
+  std::vector<IterationCandidate> raw_candidates;
+  candidates.reserve(iterable.size());
+  if (!strategy_->WantsScores()) {
+    for (const std::size_t i : iterable) {
+      candidates.push_back(IterationCandidate{i, 0.0, 1.0, 0.0});
+    }
+  } else {
+    const bool correcting = corrector_.correcting();
+    raw_candidates.reserve(iterable.size());
+    for (const std::size_t i : iterable) {
+      const vao::ResultObject& object = *objects_[i];
+      const double raw_benefit = benefit(i, object.est_bounds());
+      const double raw_cost = EstCostOf(object);
+      raw_candidates.push_back(
+          IterationCandidate{i, raw_benefit, raw_cost, width(i)});
+      candidates.push_back(raw_candidates.back());
+      if (!correcting) continue;
+      const ScoreCorrector::Corrected corrected = corrector_.Correct(
+          i, object.bounds(), object.est_bounds(), raw_cost);
+      if (corrected.changed) {
+        candidates.back().benefit = benefit(i, corrected.est);
+        candidates.back().cost = corrected.cost;
+      }
+    }
+  }
+  const std::vector<IterationCandidate>& raws =
+      raw_candidates.empty() ? candidates : raw_candidates;
+  std::vector<std::size_t> picks;
+  strategy_->ChooseBatch(candidates, batch_k_, &picks);
+
+  std::vector<double> scores;
+  std::vector<double> raw_scores;
+  for (const std::size_t i : picks) {
+    scores.push_back(ChosenScore(candidates, i));
+    raw_scores.push_back(ChosenScore(raws, i));
+  }
+  if (picks.size() == 1) {
+    return Refine(picks.front(), phase, scores.front(), raw_scores.front(),
+                  &stats_.greedy_iterations, meter);
+  }
+  return RefineBatch(picks, scores, raw_scores, phase, meter);
+}
+
+Status AggregateTask::Refine(std::size_t i, const char* phase, double score,
+                             double raw_score, std::uint64_t* phase_counter,
+                             WorkMeter* meter) {
+  DecisionCapture trace =
+      BeginDecision(name(), phase, i, *objects_[i], meter, score, raw_score);
+  const ScoreCorrector::Observation observation =
+      corrector_.BeginObserve(i, meter);
+  VAOLIB_RETURN_IF_ERROR(objects_[i]->Iterate());
+  CommitDecision(&trace);
+  corrector_.CommitObserve(observation, &stats_);
+  VAOLIB_RETURN_IF_ERROR(Observe(i, phase_counter));
+  return CheckIterationCap();
+}
+
+Status AggregateTask::RefineBatch(const std::vector<std::size_t>& picks,
+                                  const std::vector<double>& scores,
+                                  const std::vector<double>& raw_scores,
+                                  const char* phase, WorkMeter* meter) {
+  // Capture every pick's before-state up front, hand the whole set to
+  // vao::IterateBatch (which routes compatible objects through the lockstep
+  // kernels), then record decisions and observations in pick order with the
+  // per-object spend the batch tier attributes -- those spends sum exactly
+  // to the meter's delta, so traces and accounting match the scalar path.
+  std::vector<DecisionCapture> traces;
+  std::vector<ScoreCorrector::Observation> observations;
+  std::vector<vao::ResultObject*> batch;
+  for (std::size_t j = 0; j < picks.size(); ++j) {
+    const std::size_t i = picks[j];
+    traces.push_back(BeginDecision(name(), phase, i, *objects_[i], nullptr,
+                                   scores[j], raw_scores[j]));
+    observations.push_back(corrector_.BeginObserve(i, nullptr));
+    batch.push_back(objects_[i]);
+  }
+  const vao::BatchIterateOutcome outcome = vao::IterateBatch(batch, meter);
+  Status first_error;
+  for (std::size_t j = 0; j < picks.size(); ++j) {
+    traces[j].decision.actual_cost = static_cast<double>(outcome.spent[j]);
+    CommitDecision(&traces[j]);
+    if (first_error.ok()) first_error = outcome.statuses[j];
+  }
+  VAOLIB_RETURN_IF_ERROR(first_error);
+  for (std::size_t j = 0; j < picks.size(); ++j) {
+    corrector_.CommitObserveCost(
+        observations[j], static_cast<double>(outcome.spent[j]), &stats_);
+    VAOLIB_RETURN_IF_ERROR(Observe(picks[j], &stats_.greedy_iterations));
+  }
+  return CheckIterationCap();
+}
+
+Status AggregateTask::Observe(std::size_t i, std::uint64_t* phase_counter) {
+  VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], label_));
+  OnRefined(i);
+  stall_[i].Observe(objects_[i]->bounds().Width());
+  touched_[i] = true;
+  ++*phase_counter;
+  ++stats_.iterations;
+  return Status::OK();
+}
+
+Status AggregateTask::CheckIterationCap() const {
+  if (stats_.iterations > max_iterations_) {
+    return Status::NotConverged(std::string(label_) +
+                                " exceeded max_total_iterations");
+  }
+  return Status::OK();
+}
+
+OperatorStats AggregateTask::Stats() const {
+  OperatorStats stats = stats_;
+  stats.objects_touched = static_cast<std::uint64_t>(
+      std::count(touched_.begin(), touched_.end(), true));
+  stats.stalled_objects = static_cast<std::uint64_t>(
+      std::count_if(stall_.begin(), stall_.end(),
+                    [](const StallGuard& guard) { return guard.stalled(); }));
+  return stats;
+}
+
+// ---------------------------------------------------------------------------
 // MinMaxIterationTask
 // ---------------------------------------------------------------------------
 
@@ -328,12 +354,8 @@ MinMaxIterationTask::MinMaxIterationTask(
     const MinMaxOptions& options,
     const std::vector<vao::ResultObject*>& objects,
     std::unique_ptr<IterationStrategy> strategy)
-    : options_(options),
-      objects_(objects),
-      strategy_(std::move(strategy)),
-      corrector_(options_, objects_),
-      stall_(objects.size()),
-      touched_(objects.size(), false) {}
+    : AggregateTask(options, objects, std::move(strategy), "MIN/MAX"),
+      options_(options) {}
 
 Result<std::unique_ptr<MinMaxIterationTask>> MinMaxIterationTask::Create(
     const MinMaxOptions& options,
@@ -349,39 +371,11 @@ Bounds MinMaxIterationTask::ViewOf(std::size_t i) const {
   return View(objects_[i]->bounds(), options_.kind);
 }
 
-Bounds MinMaxIterationTask::EstViewOf(std::size_t i) const {
-  return View(objects_[i]->est_bounds(), options_.kind);
-}
-
-bool MinMaxIterationTask::EffectivelyConverged(std::size_t i) const {
-  return objects_[i]->AtStoppingCondition() || stall_[i].stalled();
-}
-
-Status MinMaxIterationTask::IterateOne(std::size_t i,
-                                       std::uint64_t* phase_counter,
-                                       WorkMeter* meter, const char* phase,
-                                       double score, double raw_score) {
-  VAOLIB_RETURN_IF_ERROR(IterateTraced(name(), phase, i, objects_[i],
-                                       &corrector_, meter, score, raw_score,
-                                       &outcome_.stats));
-  VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "MIN/MAX"));
-  stall_[i].Observe(objects_[i]->bounds().Width());
-  touched_[i] = true;
-  ++*phase_counter;
-  if (++outcome_.stats.iterations > options_.max_total_iterations) {
-    return Status::NotConverged("MIN/MAX exceeded max_total_iterations");
-  }
-  return Status::OK();
-}
-
 Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
   switch (phase_) {
     case Phase::kCoarse: {
-      VAOLIB_RETURN_IF_ERROR(
-          CoarsePhase(objects_, options_, &touched_, &outcome_.stats));
-      if (outcome_.stats.iterations > options_.max_total_iterations) {
-        return Status::NotConverged("MIN/MAX exceeded max_total_iterations");
-      }
+      VAOLIB_RETURN_IF_ERROR(CoarsePhase(options_));
+      VAOLIB_RETURN_IF_ERROR(CheckIterationCap());
       // Candidate indices still able to be the maximum; pruned candidates
       // are never reconsidered (bounds only tighten).
       alive_.resize(objects_.size());
@@ -426,107 +420,36 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
       }
 
       // Choose the next iteration among live, non-converged candidates
-      // (all_converged was false, so the set is non-empty).
+      // (all_converged was false, so the set is non-empty), charging O(N)
+      // per choice without indexing (Section 5.1). The benefit is the
+      // estimated total-overlap reduction with the guess.
       std::vector<std::size_t> iterable;
       for (const std::size_t i : alive_) {
         if (!EffectivelyConverged(i)) iterable.push_back(i);
       }
-
-      ++outcome_.stats.choose_steps;
-      if (meter != nullptr) {
-        // O(N) per choice without indexing (Section 5.1).
-        meter->Charge(WorkKind::kChooseIter, alive_.size());
-      }
-
-      // Sentinel probing (kSentinelGreedy): spend this cycle on a pending
-      // correlation-group probe instead of the greedy pick; the observed
-      // outcome re-ranks the probe's whole group.
-      std::size_t probe = 0;
-      if (corrector_.NextProbe(iterable, &probe)) {
-        return IterateOne(probe, &outcome_.stats.greedy_iterations, meter,
-                          "sentinel", 0.0, 0.0);
-      }
-
-      std::vector<IterationCandidate> candidates;
-      std::vector<IterationCandidate> raw_candidates;
-      candidates.reserve(iterable.size());
-      if (strategy_->WantsScores()) {
-        // Estimated total-overlap reduction with the guess, per CPU cycle.
-        const Bounds guess_bounds = ViewOf(guess);
-        const auto reduction_of = [&](std::size_t i, const Bounds& est) {
-          double reduction = 0.0;
-          if (i == guess) {
-            // Iterating the guess shrinks its overlap with every rival.
-            for (const std::size_t j : alive_) {
-              if (j == guess) continue;
-              const Bounds other = ViewOf(j);
-              reduction +=
-                  std::max(0.0, guess_bounds.OverlapWidth(other) -
-                                    est.OverlapWidth(other));
-            }
-          } else {
-            // Iterating rival i shrinks only the (guess, i) overlap. With
-            // est inside the current bounds this equals the paper's
-            // min(o_i.H - o'max.L, o_i.H - o_i.estH).
-            const Bounds cur = ViewOf(i);
-            reduction = std::max(0.0, guess_bounds.OverlapWidth(cur) -
-                                          guess_bounds.OverlapWidth(est));
-          }
-          return reduction;
-        };
-        raw_candidates.reserve(iterable.size());
-        for (const std::size_t i : iterable) {
-          const double raw_cost = EstCostOf(*objects_[i]);
-          const double raw_reduction = reduction_of(i, EstViewOf(i));
-          double reduction = raw_reduction;
-          double cost = raw_cost;
-          if (corrector_.correcting()) {
-            const ScoreCorrector::Corrected corrected = corrector_.Correct(
-                i, objects_[i]->bounds(), objects_[i]->est_bounds(),
-                raw_cost);
-            if (corrected.changed) {
-              cost = corrected.cost;
-              reduction = reduction_of(i, View(corrected.est, options_.kind));
-            }
-          }
-          candidates.push_back(
-              IterationCandidate{i, reduction, cost, ViewOf(i).Width()});
-          raw_candidates.push_back(IterationCandidate{
-              i, raw_reduction, raw_cost, ViewOf(i).Width()});
+      const Bounds guess_bounds = ViewOf(guess);
+      const auto reduction = [&](std::size_t i, const Bounds& estimate) {
+        const Bounds est = View(estimate, options_.kind);
+        if (i != guess) {
+          // Iterating rival i shrinks only the (guess, i) overlap. With
+          // est inside the current bounds this equals the paper's
+          // min(o_i.H - o'max.L, o_i.H - o_i.estH).
+          return std::max(0.0, guess_bounds.OverlapWidth(ViewOf(i)) -
+                                   guess_bounds.OverlapWidth(est));
         }
-      } else {
-        for (const std::size_t i : iterable) {
-          candidates.push_back(IterationCandidate{i, 0.0, 1.0, 0.0});
+        // Iterating the guess shrinks its overlap with every rival.
+        double total = 0.0;
+        for (const std::size_t j : alive_) {
+          if (j == guess) continue;
+          const Bounds other = ViewOf(j);
+          total += std::max(0.0, guess_bounds.OverlapWidth(other) -
+                                     est.OverlapWidth(other));
         }
-      }
-      const std::vector<IterationCandidate>& raws =
-          raw_candidates.empty() ? candidates : raw_candidates;
-      std::vector<std::size_t> picks;
-      strategy_->ChooseBatch(candidates, CycleBatchK(options_), &picks);
-
-      if (picks.size() == 1) {
-        const std::size_t chosen = picks.front();
-        return IterateOne(chosen, &outcome_.stats.greedy_iterations, meter,
-                          "search", ChosenScore(candidates, chosen),
-                          ChosenScore(raws, chosen));
-      }
-
-      std::vector<double> scores;
-      std::vector<double> raw_scores;
-      PickScores(picks, candidates, raws, &scores, &raw_scores);
-      VAOLIB_RETURN_IF_ERROR(BatchCycle(
-          name(), "search", objects_, picks, scores, raw_scores, &corrector_,
-          meter, &outcome_.stats, [&](std::size_t i) {
-            VAOLIB_RETURN_IF_ERROR(
-                ValidateObjectBounds(*objects_[i], "MIN/MAX"));
-            stall_[i].Observe(objects_[i]->bounds().Width());
-            touched_[i] = true;
-            return Status::OK();
-          }));
-      if (outcome_.stats.iterations > options_.max_total_iterations) {
-        return Status::NotConverged("MIN/MAX exceeded max_total_iterations");
-      }
-      return Status::OK();
+        return total;
+      };
+      return ChooseAndRefine(
+          iterable, alive_.size(), "search", reduction,
+          [&](std::size_t i) { return ViewOf(i).Width(); }, meter);
     }
 
     case Phase::kFinalize: {
@@ -537,9 +460,8 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
       vao::ResultObject* winner = objects_[outcome_.winner_index];
       if (winner->bounds().Width() > options_.epsilon &&
           !EffectivelyConverged(outcome_.winner_index)) {
-        return IterateOne(outcome_.winner_index,
-                          &outcome_.stats.finalize_iterations, meter,
-                          "finalize", 0.0, 0.0);
+        return Refine(outcome_.winner_index, "finalize", 0.0, 0.0,
+                      &stats_.finalize_iterations, meter);
       }
       Finish();
       return Status::OK();
@@ -550,7 +472,7 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
 
 void MinMaxIterationTask::Finish() {
   outcome_.winner_bounds = objects_[outcome_.winner_index]->bounds();
-  CountObjects(touched_, stall_, &outcome_.stats);
+  outcome_.stats = Stats();
   outcome_.precision_degraded = outcome_.stats.stalled_objects > 0;
   outcome_.converged = true;
   MarkDone(true);
@@ -596,7 +518,7 @@ MinMaxOutcome MinMaxIterationTask::Snapshot() const {
 
   MinMaxOutcome partial = outcome_;
   partial.converged = false;
-  CountObjects(touched_, stall_, &partial.stats);
+  partial.stats = Stats();
   partial.precision_degraded = partial.stats.stalled_objects > 0;
 
   if (phase_ == Phase::kFinalize) {
@@ -619,13 +541,9 @@ SumAveIterationTask::SumAveIterationTask(
     const std::vector<vao::ResultObject*>& objects,
     std::vector<double> weights,
     std::unique_ptr<IterationStrategy> strategy)
-    : options_(options),
-      objects_(objects),
-      weights_(std::move(weights)),
-      strategy_(std::move(strategy)),
-      corrector_(options_, objects_),
-      stall_(objects.size()),
-      touched_(objects.size(), false) {}
+    : AggregateTask(options, objects, std::move(strategy), "SUM/AVE"),
+      options_(options),
+      weights_(std::move(weights)) {}
 
 Result<std::unique_ptr<SumAveIterationTask>> SumAveIterationTask::Create(
     const SumAveOptions& options,
@@ -654,19 +572,6 @@ Bounds SumAveIterationTask::ExactSum() const {
   return Bounds(lo.Sum(), hi.Sum());
 }
 
-Status SumAveIterationTask::ApplyIterate(std::size_t chosen, WorkMeter* meter,
-                                         const char* phase, double score,
-                                         double raw_score) {
-  VAOLIB_RETURN_IF_ERROR(IterateTraced(name(), phase, chosen,
-                                       objects_[chosen], &corrector_, meter,
-                                       score, raw_score, &outcome_.stats));
-  VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[chosen], "SUM/AVE"));
-  Fold(chosen);
-  touched_[chosen] = true;
-  stall_[chosen].Observe(seen_bounds_[chosen].Width());
-  return Status::OK();
-}
-
 void SumAveIterationTask::Fold(std::size_t i) {
   // Subtract the object's old weighted contribution and add the new one, so
   // each round is O(1) on the interval itself.
@@ -690,8 +595,7 @@ void SumAveIterationTask::CatchUp(WorkMeter* meter) {
 Status SumAveIterationTask::StepImpl(WorkMeter* meter) {
   switch (phase_) {
     case Phase::kCoarse: {
-      VAOLIB_RETURN_IF_ERROR(
-          CoarsePhase(objects_, options_, &touched_, &outcome_.stats));
+      VAOLIB_RETURN_IF_ERROR(CoarsePhase(options_));
       sum_ = ExactSum();
       seen_bounds_.clear();
       seen_iterations_.clear();
@@ -708,8 +612,8 @@ Status SumAveIterationTask::StepImpl(WorkMeter* meter) {
            options_.strategy == StrategyKind::kBatchGreedy)) {
         heap_.Reset(objects_.size());
         for (std::size_t i = 0; i < objects_.size(); ++i) {
-          if (weights_[i] > 0.0 && !objects_[i]->AtStoppingCondition()) {
-            heap_.Update(i, GreedyScore(*objects_[i], weights_[i]));
+          if (weights_[i] > 0.0 && !EffectivelyConverged(i)) {
+            heap_.Update(i, SumGreedyScore(*objects_[i], weights_[i]));
           }
         }
         phase_ = Phase::kHeapScan;
@@ -738,10 +642,7 @@ Status SumAveIterationTask::StepScan(WorkMeter* meter) {
   // remains in the sum.
   std::vector<std::size_t> iterable;
   for (std::size_t i = 0; i < objects_.size(); ++i) {
-    if (!objects_[i]->AtStoppingCondition() && !stall_[i].stalled() &&
-        weights_[i] > 0.0) {
-      iterable.push_back(i);
-    }
+    if (!EffectivelyConverged(i) && weights_[i] > 0.0) iterable.push_back(i);
   }
   if (iterable.empty()) {
     outcome_.limited_by_min_width = true;
@@ -749,99 +650,18 @@ Status SumAveIterationTask::StepScan(WorkMeter* meter) {
     return Status::OK();
   }
 
-  ++outcome_.stats.choose_steps;
-  if (meter != nullptr) {
-    meter->Charge(WorkKind::kChooseIter, iterable.size());
-  }
-
-  // Sentinel probing: pending correlation-group probes pre-empt the greedy
-  // pick (kSentinelGreedy only; NextProbe is a no-op otherwise).
-  std::size_t probe = 0;
-  if (corrector_.NextProbe(iterable, &probe)) {
-    VAOLIB_RETURN_IF_ERROR(ApplyIterate(probe, meter, "sentinel", 0.0, 0.0));
-    ++outcome_.stats.greedy_iterations;
-    if (++outcome_.stats.iterations > options_.max_total_iterations) {
-      return Status::NotConverged("SUM/AVE exceeded max_total_iterations");
-    }
-    return Status::OK();
-  }
-
-  std::vector<IterationCandidate> candidates;
-  std::vector<IterationCandidate> raw_candidates;
-  candidates.reserve(iterable.size());
-  if (strategy_->WantsScores()) {
-    // The paper's heuristic: estimated weighted error reduction
-    // w_i * [(estL - L) + (H - estH)] per estimated CPU cycle; the widest
-    // actual weighted width is the no-predicted-progress fallback.
-    raw_candidates.reserve(iterable.size());
-    for (const std::size_t i : iterable) {
-      const double raw_benefit = SumReduction(*objects_[i], weights_[i]);
-      const double raw_cost = EstCostOf(*objects_[i]);
-      double benefit = raw_benefit;
-      double cost = raw_cost;
-      if (corrector_.correcting()) {
-        const Bounds cur = objects_[i]->bounds();
-        const ScoreCorrector::Corrected corrected =
-            corrector_.Correct(i, cur, objects_[i]->est_bounds(), raw_cost);
-        if (corrected.changed) {
-          cost = corrected.cost;
-          benefit = std::max(0.0, weights_[i] * ((corrected.est.lo - cur.lo) +
-                                                 (cur.hi - corrected.est.hi)));
-        }
-      }
-      const double width = weights_[i] * objects_[i]->bounds().Width();
-      candidates.push_back(IterationCandidate{i, benefit, cost, width});
-      raw_candidates.push_back(
-          IterationCandidate{i, raw_benefit, raw_cost, width});
-    }
-  } else {
-    for (const std::size_t i : iterable) {
-      candidates.push_back(IterationCandidate{i, 0.0, 1.0, 0.0});
-    }
-  }
-  const std::vector<IterationCandidate>& raws =
-      raw_candidates.empty() ? candidates : raw_candidates;
-  std::vector<std::size_t> picks;
-  strategy_->ChooseBatch(candidates, CycleBatchK(options_), &picks);
-
-  if (picks.size() == 1) {
-    const std::size_t chosen = picks.front();
-    VAOLIB_RETURN_IF_ERROR(ApplyIterate(chosen, meter, "scan",
-                                        ChosenScore(candidates, chosen),
-                                        ChosenScore(raws, chosen)));
-    ++outcome_.stats.greedy_iterations;
-    if (++outcome_.stats.iterations > options_.max_total_iterations) {
-      return Status::NotConverged("SUM/AVE exceeded max_total_iterations");
-    }
-    return Status::OK();
-  }
-
-  std::vector<double> scores;
-  std::vector<double> raw_scores;
-  PickScores(picks, candidates, raws, &scores, &raw_scores);
-  VAOLIB_RETURN_IF_ERROR(
-      ApplyIterateBatch(picks, scores, raw_scores, meter, "scan"));
-  if (outcome_.stats.iterations > options_.max_total_iterations) {
-    return Status::NotConverged("SUM/AVE exceeded max_total_iterations");
-  }
-  return Status::OK();
-}
-
-Status SumAveIterationTask::ApplyIterateBatch(
-    const std::vector<std::size_t>& chosen, const std::vector<double>& scores,
-    const std::vector<double>& raw_scores, WorkMeter* meter,
-    const char* phase) {
-  // Batch form of ApplyIterate: one lockstep dispatch, then the same
-  // incremental interval maintenance per object.
-  return BatchCycle(name(), phase, objects_, chosen, scores, raw_scores,
-                    &corrector_, meter, &outcome_.stats, [&](std::size_t i) {
-                      VAOLIB_RETURN_IF_ERROR(
-                          ValidateObjectBounds(*objects_[i], "SUM/AVE"));
-                      Fold(i);
-                      touched_[i] = true;
-                      stall_[i].Observe(seen_bounds_[i].Width());
-                      return Status::OK();
-                    });
+  // The paper's heuristic: estimated weighted error reduction per
+  // estimated CPU cycle; the widest actual weighted width is the
+  // no-predicted-progress fallback.
+  return ChooseAndRefine(
+      iterable, iterable.size(), "scan",
+      [&](std::size_t i, const Bounds& est) {
+        return SumReduction(objects_[i]->bounds(), est, weights_[i]);
+      },
+      [&](std::size_t i) {
+        return weights_[i] * objects_[i]->bounds().Width();
+      },
+      meter);
 }
 
 Status SumAveIterationTask::StepHeap(WorkMeter* meter) {
@@ -852,15 +672,14 @@ Status SumAveIterationTask::StepHeap(WorkMeter* meter) {
 
   // Pop up to batch_k best-scored objects for this cycle (one for the
   // scalar strategies). Each pop-plus-push is O(log N) chooseIter work.
-  const std::size_t batch_k = CycleBatchK(options_);
   std::vector<std::size_t> picks;
   std::vector<double> scores;
   std::size_t chosen = 0;
   double score = 0.0;
-  while (picks.size() < batch_k && heap_.PopBest(&chosen, &score)) {
+  while (picks.size() < batch_k_ && heap_.PopBest(&chosen, &score)) {
     picks.push_back(chosen);
     scores.push_back(score);
-    ++outcome_.stats.choose_steps;
+    ++stats_.choose_steps;
     if (meter != nullptr) {
       meter->Charge(WorkKind::kChooseIter, 2 * Log2Ceil(objects_.size()));
     }
@@ -871,24 +690,17 @@ Status SumAveIterationTask::StepHeap(WorkMeter* meter) {
     return Status::OK();
   }
 
-  if (picks.size() == 1) {
-    VAOLIB_RETURN_IF_ERROR(ApplyIterate(picks.front(), meter, "heap",
-                                        scores.front(), scores.front()));
-    ++outcome_.stats.greedy_iterations;
-    ++outcome_.stats.iterations;
-  } else {
-    VAOLIB_RETURN_IF_ERROR(
-        ApplyIterateBatch(picks, scores, scores, meter, "heap"));
-  }
+  VAOLIB_RETURN_IF_ERROR(
+      picks.size() == 1
+          ? Refine(picks.front(), "heap", scores.front(), scores.front(),
+                   &stats_.greedy_iterations, meter)
+          : RefineBatch(picks, scores, scores, "heap", meter));
   // Stalled objects simply stop being re-pushed, so their (sound, frozen)
   // contribution stays in the sum.
   for (const std::size_t i : picks) {
-    if (!objects_[i]->AtStoppingCondition() && !stall_[i].stalled()) {
-      heap_.Update(i, GreedyScore(*objects_[i], weights_[i]));
+    if (!EffectivelyConverged(i)) {
+      heap_.Update(i, SumGreedyScore(*objects_[i], weights_[i]));
     }
-  }
-  if (outcome_.stats.iterations > options_.max_total_iterations) {
-    return Status::NotConverged("SUM/AVE exceeded max_total_iterations");
   }
   return Status::OK();
 }
@@ -896,7 +708,7 @@ Status SumAveIterationTask::StepHeap(WorkMeter* meter) {
 void SumAveIterationTask::Finish() {
   // Recompute exactly to shed accumulated floating-point drift.
   outcome_.sum_bounds = ExactSum();
-  CountObjects(touched_, stall_, &outcome_.stats);
+  outcome_.stats = Stats();
   outcome_.converged = true;
   MarkDone(true);
 }
@@ -913,7 +725,7 @@ SumOutcome SumAveIterationTask::Snapshot() const {
   SumOutcome partial = outcome_;
   partial.converged = false;
   partial.sum_bounds = ExactSum();
-  CountObjects(touched_, stall_, &partial.stats);
+  partial.stats = Stats();
   return partial;
 }
 
@@ -925,12 +737,8 @@ TopKIterationTask::TopKIterationTask(
     const TopKOptions& options,
     const std::vector<vao::ResultObject*>& objects,
     std::unique_ptr<IterationStrategy> strategy)
-    : options_(options),
-      objects_(objects),
-      strategy_(std::move(strategy)),
-      corrector_(options_, objects_),
-      stall_(objects.size()),
-      touched_(objects.size(), false),
+    : AggregateTask(options, objects, std::move(strategy), "TOP-K"),
+      options_(options),
       order_(objects.size()) {
   std::iota(order_.begin(), order_.end(), std::size_t{0});
 }
@@ -950,55 +758,26 @@ Bounds TopKIterationTask::ViewOf(std::size_t i) const {
   return View(objects_[i]->bounds(), options_.kind);
 }
 
-Bounds TopKIterationTask::EstViewOf(std::size_t i) const {
-  return View(objects_[i]->est_bounds(), options_.kind);
-}
-
-bool TopKIterationTask::EffectivelyConverged(std::size_t i) const {
-  return objects_[i]->AtStoppingCondition() || stall_[i].stalled();
-}
-
-Status TopKIterationTask::IterateOne(std::size_t i,
-                                     std::uint64_t* phase_counter,
-                                     WorkMeter* meter, const char* phase,
-                                     double score, double raw_score) {
-  VAOLIB_RETURN_IF_ERROR(IterateTraced(name(), phase, i, objects_[i],
-                                       &corrector_, meter, score, raw_score,
-                                       &outcome_.stats));
-  VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "TOP-K"));
-  stall_[i].Observe(objects_[i]->bounds().Width());
-  touched_[i] = true;
-  ++*phase_counter;
-  if (++outcome_.stats.iterations > options_.max_total_iterations) {
-    return Status::NotConverged("TOP-K exceeded max_total_iterations");
-  }
-  return Status::OK();
-}
-
 Status TopKIterationTask::StepImpl(WorkMeter* meter) {
   const std::size_t n = objects_.size();
   const std::size_t k = options_.k;
 
   switch (phase_) {
     case Phase::kCoarse: {
-      VAOLIB_RETURN_IF_ERROR(
-          CoarsePhase(objects_, options_, &touched_, &outcome_.stats));
-      if (outcome_.stats.iterations > options_.max_total_iterations) {
-        return Status::NotConverged("TOP-K exceeded max_total_iterations");
-      }
+      VAOLIB_RETURN_IF_ERROR(CoarsePhase(options_));
+      VAOLIB_RETURN_IF_ERROR(CheckIterationCap());
       phase_ = Phase::kBoundary;
       return Status::OK();
     }
 
     case Phase::kBoundary: {
       // Guess the top-k set: the k candidates with the highest upper bounds.
-      std::partial_sort(order_.begin(),
-                        order_.begin() + static_cast<std::ptrdiff_t>(k),
-                        order_.end(), [&](std::size_t a, std::size_t b) {
+      const auto member_end = order_.begin() + static_cast<std::ptrdiff_t>(k);
+      std::partial_sort(order_.begin(), member_end, order_.end(),
+                        [&](std::size_t a, std::size_t b) {
                           return ViewOf(a).hi > ViewOf(b).hi;
                         });
-      members_.assign(order_.begin(),
-                      order_.begin() + static_cast<std::ptrdiff_t>(k));
+      members_.assign(order_.begin(), member_end);
 
       if (k == n) {  // everything is selected; only refinement remains
         phase_ = Phase::kFinalize;
@@ -1044,95 +823,24 @@ Status TopKIterationTask::StepImpl(WorkMeter* meter) {
         return Status::OK();
       }
 
-      ++outcome_.stats.choose_steps;
-      if (meter != nullptr) {
-        meter->Charge(WorkKind::kChooseIter, conflicted.size());
-      }
-
-      // Sentinel probing: pending correlation-group probes pre-empt the
-      // greedy pick (kSentinelGreedy only).
-      std::size_t probe = 0;
-      if (corrector_.NextProbe(iterable, &probe)) {
-        return IterateOne(probe, &outcome_.stats.greedy_iterations, meter,
-                          "sentinel", 0.0, 0.0);
-      }
-
-      std::vector<IterationCandidate> candidates;
-      std::vector<IterationCandidate> raw_candidates;
-      candidates.reserve(iterable.size());
-      if (strategy_->WantsScores()) {
-        // Greedy: the largest predicted cross-boundary overlap reduction
-        // per estimated CPU cycle.
-        const auto member_set_end =
-            order_.begin() + static_cast<std::ptrdiff_t>(k);
-        const auto gain_of = [&](bool is_member, const Bounds& cur,
-                                 const Bounds& est) {
-          double gain;
-          if (is_member) {
-            // Raising a member's lower bound toward the outsiders' ceiling.
-            gain = std::min(boundary_hi - cur.lo, est.lo - cur.lo);
-          } else {
-            // Lowering an outsider's upper bound toward the members' floor.
-            gain = std::min(cur.hi - boundary_lo, cur.hi - est.hi);
-          }
-          return std::max(gain, 0.0);
-        };
-        raw_candidates.reserve(iterable.size());
-        for (const std::size_t i : iterable) {
-          const bool is_member =
-              std::find(order_.begin(), member_set_end, i) != member_set_end;
-          const Bounds cur = ViewOf(i);
-          const double raw_gain = gain_of(is_member, cur, EstViewOf(i));
-          const double raw_cost = EstCostOf(*objects_[i]);
-          double gain = raw_gain;
-          double cost = raw_cost;
-          if (corrector_.correcting()) {
-            const ScoreCorrector::Corrected corrected = corrector_.Correct(
-                i, objects_[i]->bounds(), objects_[i]->est_bounds(),
-                raw_cost);
-            if (corrected.changed) {
-              cost = corrected.cost;
-              gain = gain_of(is_member, cur,
-                             View(corrected.est, options_.kind));
-            }
-          }
-          candidates.push_back(
-              IterationCandidate{i, gain, cost, ViewOf(i).Width()});
-          raw_candidates.push_back(
-              IterationCandidate{i, raw_gain, raw_cost, ViewOf(i).Width()});
-        }
-      } else {
-        for (const std::size_t i : iterable) {
-          candidates.push_back(IterationCandidate{i, 0.0, 1.0, 0.0});
-        }
-      }
-      const std::vector<IterationCandidate>& raws =
-          raw_candidates.empty() ? candidates : raw_candidates;
-      std::vector<std::size_t> picks;
-      strategy_->ChooseBatch(candidates, CycleBatchK(options_), &picks);
-      if (picks.size() == 1) {
-        const std::size_t chosen = picks.front();
-        return IterateOne(chosen, &outcome_.stats.greedy_iterations, meter,
-                          "boundary", ChosenScore(candidates, chosen),
-                          ChosenScore(raws, chosen));
-      }
-
-      std::vector<double> scores;
-      std::vector<double> raw_scores;
-      PickScores(picks, candidates, raws, &scores, &raw_scores);
-      VAOLIB_RETURN_IF_ERROR(BatchCycle(
-          name(), "boundary", objects_, picks, scores, raw_scores,
-          &corrector_, meter, &outcome_.stats, [&](std::size_t i) {
-            VAOLIB_RETURN_IF_ERROR(
-                ValidateObjectBounds(*objects_[i], "TOP-K"));
-            stall_[i].Observe(objects_[i]->bounds().Width());
-            touched_[i] = true;
-            return Status::OK();
-          }));
-      if (outcome_.stats.iterations > options_.max_total_iterations) {
-        return Status::NotConverged("TOP-K exceeded max_total_iterations");
-      }
-      return Status::OK();
+      // Greedy: the largest predicted cross-boundary overlap reduction per
+      // estimated CPU cycle.
+      const auto gain = [&](std::size_t i, const Bounds& estimate) {
+        const Bounds cur = ViewOf(i);
+        const Bounds est = View(estimate, options_.kind);
+        const double g =
+            std::find(order_.begin(), member_end, i) != member_end
+                // Raising a member's lower bound toward the outsiders'
+                // ceiling.
+                ? std::min(boundary_hi - cur.lo, est.lo - cur.lo)
+                // Lowering an outsider's upper bound toward the members'
+                // floor.
+                : std::min(cur.hi - boundary_lo, cur.hi - est.hi);
+        return std::max(g, 0.0);
+      };
+      return ChooseAndRefine(
+          iterable, conflicted.size(), "boundary", gain,
+          [&](std::size_t i) { return ViewOf(i).Width(); }, meter);
     }
 
     case Phase::kFinalize: {
@@ -1141,8 +849,8 @@ Status TopKIterationTask::StepImpl(WorkMeter* meter) {
         const std::size_t i = members_[finalize_cursor_];
         if (objects_[i]->bounds().Width() > options_.epsilon &&
             !EffectivelyConverged(i)) {
-          return IterateOne(i, &outcome_.stats.finalize_iterations, meter,
-                            "finalize", 0.0, 0.0);
+          return Refine(i, "finalize", 0.0, 0.0, &stats_.finalize_iterations,
+                        meter);
         }
         ++finalize_cursor_;
       }
@@ -1166,7 +874,7 @@ void TopKIterationTask::Describe(std::vector<std::size_t> members,
     outcome->winners.push_back(i);
     outcome->winner_bounds.push_back(objects_[i]->bounds());
   }
-  CountObjects(touched_, stall_, &outcome->stats);
+  outcome->stats = Stats();
   outcome->precision_degraded = outcome->stats.stalled_objects > 0;
 }
 
