@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -32,21 +33,21 @@ class GreedyStrategy : public IterationStrategy {
       const std::vector<IterationCandidate>& candidates) override {
     const obs::ScopedSpan span("strategy", "greedy_choose",
                                obs::TraceDetail::kFine);
-    std::size_t chosen = candidates.front().index;
+    std::size_t chosen = 0;
     double best_score = -1.0;
-    for (const IterationCandidate& c : candidates) {
-      const double score = c.benefit / c.cost;
+    for (std::size_t p = 0; p < candidates.size(); ++p) {
+      const double score = candidates[p].benefit / candidates[p].cost;
       if (score > best_score) {
         best_score = score;
-        chosen = c.index;
+        chosen = p;
       }
     }
     if (best_score <= 0.0) {
       double widest = -1.0;
-      for (const IterationCandidate& c : candidates) {
-        if (c.width > widest) {
-          widest = c.width;
-          chosen = c.index;
+      for (std::size_t p = 0; p < candidates.size(); ++p) {
+        if (candidates[p].width > widest) {
+          widest = candidates[p].width;
+          chosen = p;
         }
       }
     }
@@ -82,11 +83,8 @@ class GreedyStrategy : public IterationStrategy {
                          return candidates[a].width > candidates[b].width;
                        });
     }
-    chosen->clear();
-    chosen->reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      chosen->push_back(candidates[order[i]].index);
-    }
+    order.resize(take);
+    *chosen = std::move(order);
   }
 
  private:
@@ -100,10 +98,7 @@ class RoundRobinStrategy : public IterationStrategy {
 
   std::size_t Choose(
       const std::vector<IterationCandidate>& candidates) override {
-    const std::size_t chosen =
-        candidates[cursor_ % candidates.size()].index;
-    ++cursor_;
-    return chosen;
+    return cursor_++ % candidates.size();
   }
 
  private:
@@ -119,10 +114,8 @@ class RandomStrategy : public IterationStrategy {
 
   std::size_t Choose(
       const std::vector<IterationCandidate>& candidates) override {
-    return candidates[static_cast<std::size_t>(rng_->UniformInt(
-                          0, static_cast<std::int64_t>(candidates.size()) -
-                                 1))]
-        .index;
+    return static_cast<std::size_t>(rng_->UniformInt(
+        0, static_cast<std::int64_t>(candidates.size()) - 1));
   }
 
  private:

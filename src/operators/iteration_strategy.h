@@ -54,13 +54,14 @@ class IterationStrategy {
   /// never look at them.
   virtual bool WantsScores() const = 0;
 
-  /// Returns the input index of the chosen candidate. \p candidates is
-  /// non-empty, ordered as the operator enumerates its iterable set (the
-  /// greedy first-maximum tie-break depends on that order).
+  /// Returns the position in \p candidates of the chosen candidate (its
+  /// object is `candidates[position].index`). \p candidates is non-empty,
+  /// ordered as the operator enumerates its iterable set (the greedy
+  /// first-maximum tie-break depends on that order).
   virtual std::size_t Choose(
       const std::vector<IterationCandidate>& candidates) = 0;
 
-  /// Fills \p chosen with up to \p max_batch candidate *input indices* for
+  /// Fills \p chosen with up to \p max_batch candidate *positions* for
   /// one cycle, best first, never empty for non-empty \p candidates. The
   /// base implementation picks exactly Choose() -- one object per cycle;
   /// the greedy strategy ranks the top \p max_batch (the aggregates ask for

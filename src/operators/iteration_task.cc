@@ -99,16 +99,10 @@ void CommitDecision(DecisionCapture* capture) {
   obs::RecordDecision(capture->decision);
 }
 
-// The greedy benefit/cost score of the candidate the strategy picked (zero
-// when it was not scored).
-double ChosenScore(const std::vector<IterationCandidate>& candidates,
-                   std::size_t chosen) {
-  for (const IterationCandidate& candidate : candidates) {
-    if (candidate.index == chosen) {
-      return candidate.benefit / std::max(candidate.cost, 1.0);
-    }
-  }
-  return 0.0;
+// The greedy benefit/cost score a scored candidate records in the decision
+// trace (zero for a strategy that does not score).
+double TracedScore(const IterationCandidate& candidate) {
+  return candidate.benefit / std::max(candidate.cost, 1.0);
 }
 
 }  // namespace
@@ -224,7 +218,8 @@ Status AggregateTask::ChooseAndRefine(const std::vector<std::size_t>& iterable,
   }
 
   // Candidates scored on raw estimates, then corrected in place under a
-  // corrected strategy; the raw copies feed the decision trace.
+  // corrected strategy. Only a correction needs the raw copies: they feed
+  // the decision trace's raw_score, which otherwise is the score itself.
   std::vector<IterationCandidate> candidates;
   std::vector<IterationCandidate> raw_candidates;
   candidates.reserve(iterable.size());
@@ -234,15 +229,15 @@ Status AggregateTask::ChooseAndRefine(const std::vector<std::size_t>& iterable,
     }
   } else {
     const bool correcting = corrector_.correcting();
-    raw_candidates.reserve(iterable.size());
+    if (correcting) raw_candidates.reserve(iterable.size());
     for (const std::size_t i : iterable) {
       const vao::ResultObject& object = *objects_[i];
       const double raw_benefit = benefit(i, object.est_bounds());
       const double raw_cost = EstCostOf(object);
-      raw_candidates.push_back(
+      candidates.push_back(
           IterationCandidate{i, raw_benefit, raw_cost, width(i)});
-      candidates.push_back(raw_candidates.back());
       if (!correcting) continue;
+      raw_candidates.push_back(candidates.back());
       const ScoreCorrector::Corrected corrected = corrector_.Correct(
           i, object.bounds(), object.est_bounds(), raw_cost);
       if (corrected.changed) {
@@ -253,18 +248,21 @@ Status AggregateTask::ChooseAndRefine(const std::vector<std::size_t>& iterable,
   }
   const std::vector<IterationCandidate>& raws =
       raw_candidates.empty() ? candidates : raw_candidates;
-  std::vector<std::size_t> picks;
-  strategy_->ChooseBatch(candidates, batch_k_, &picks);
+  std::vector<std::size_t> positions;
+  strategy_->ChooseBatch(candidates, batch_k_, &positions);
 
+  if (positions.size() == 1) {
+    const std::size_t p = positions.front();
+    return Refine(candidates[p].index, phase, TracedScore(candidates[p]),
+                  TracedScore(raws[p]), &stats_.greedy_iterations, meter);
+  }
+  std::vector<std::size_t> picks;
   std::vector<double> scores;
   std::vector<double> raw_scores;
-  for (const std::size_t i : picks) {
-    scores.push_back(ChosenScore(candidates, i));
-    raw_scores.push_back(ChosenScore(raws, i));
-  }
-  if (picks.size() == 1) {
-    return Refine(picks.front(), phase, scores.front(), raw_scores.front(),
-                  &stats_.greedy_iterations, meter);
+  for (const std::size_t p : positions) {
+    picks.push_back(candidates[p].index);
+    scores.push_back(TracedScore(candidates[p]));
+    raw_scores.push_back(TracedScore(raws[p]));
   }
   return RefineBatch(picks, scores, raw_scores, phase, meter);
 }
@@ -585,10 +583,19 @@ void SumAveIterationTask::Fold(std::size_t i) {
 void SumAveIterationTask::CatchUp(WorkMeter* meter) {
   // Other tasks over the same objects (a scheduled query group) may have
   // iterated some of them since our last step; their tightening counts
-  // toward our stop test too. A quiet meter means nobody did.
+  // toward our stop test too. A quiet meter means nobody did. Under the
+  // heap chooser their cached scores are stale as well: re-score them, or
+  // drop the ones the sibling brought to their stopping condition.
   if (phase_ == Phase::kCoarse || !MeterMovedSinceLastStep(meter)) return;
   for (std::size_t i = 0; i < objects_.size(); ++i) {
-    if (objects_[i]->iterations() != seen_iterations_[i]) Fold(i);
+    if (objects_[i]->iterations() == seen_iterations_[i]) continue;
+    Fold(i);
+    if (phase_ != Phase::kHeapScan || !(weights_[i] > 0.0)) continue;
+    if (EffectivelyConverged(i)) {
+      heap_.Remove(i);
+    } else {
+      heap_.Update(i, SumGreedyScore(*objects_[i], weights_[i]));
+    }
   }
 }
 

@@ -601,8 +601,12 @@ TEST(BatchGreedyStrategyTest, ChooseBatchAtK1MatchesGreedyChoose) {
       // No predicted progress: widest actual width wins.
       {{2, 0.0, 1.0, 0.5}, {4, 0.0, 1.0, 1.5}, {6, 0.0, 1.0, 1.0}},
   };
-  for (const auto& candidates : cases) {
+  // Strategies report positions in the candidate list.
+  const std::vector<std::size_t> want_positions = {1, 0, 1};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& candidates = cases[c];
     const std::size_t want = greedy.value()->Choose(candidates);
+    EXPECT_EQ(want, want_positions[c]);
     std::vector<std::size_t> chosen;
     batch.value()->ChooseBatch(candidates, 1, &chosen);
     ASSERT_EQ(chosen.size(), 1u);
@@ -622,9 +626,10 @@ TEST(BatchGreedyStrategyTest, ChooseBatchRanksTopKByScore) {
       {12, 4.0, 1.0, 0.3},   // score 4
       {13, 1.0, 2.0, 0.4},   // score 0.5
   };
+  // Positions, not object indices: objects 11, 12, 10.
   std::vector<std::size_t> chosen;
   batch.value()->ChooseBatch(candidates, 3, &chosen);
-  EXPECT_EQ(chosen, (std::vector<std::size_t>{11, 12, 10}));
+  EXPECT_EQ(chosen, (std::vector<std::size_t>{1, 2, 0}));
 
   // Requesting more than available clamps to the candidate count.
   batch.value()->ChooseBatch(candidates, 99, &chosen);
@@ -634,7 +639,7 @@ TEST(BatchGreedyStrategyTest, ChooseBatchRanksTopKByScore) {
   const std::vector<operators::IterationCandidate> flat = {
       {20, 0.0, 1.0, 0.5}, {21, 0.0, 1.0, 2.5}, {22, 0.0, 1.0, 1.5}};
   batch.value()->ChooseBatch(flat, 2, &chosen);
-  EXPECT_EQ(chosen, (std::vector<std::size_t>{21, 22}));
+  EXPECT_EQ(chosen, (std::vector<std::size_t>{1, 2}));
 }
 
 TEST(BatchGreedyOperatorTest, MinMaxK1MatchesGreedyExactly) {

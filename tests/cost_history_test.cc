@@ -449,7 +449,7 @@ TEST(GreedyTieBreakTest, EqualScoresChooseTheFirstEnumeratedCandidate) {
         operators::StrategyKind::kSentinelGreedy}) {
     auto strategy = operators::MakeStrategy(kind, nullptr);
     ASSERT_TRUE(strategy.ok());
-    EXPECT_EQ((*strategy)->Choose(candidates), 10u)
+    EXPECT_EQ(candidates[(*strategy)->Choose(candidates)].index, 10u)
         << operators::StrategyKindName(kind);
   }
 }
@@ -469,7 +469,7 @@ TEST(GreedyTieBreakTest, ZeroBenefitFallbackBreaksWidthTiesByOrder) {
   auto strategy =
       operators::MakeStrategy(operators::StrategyKind::kGreedy, nullptr);
   ASSERT_TRUE(strategy.ok());
-  EXPECT_EQ((*strategy)->Choose(candidates), 5u);
+  EXPECT_EQ(candidates[(*strategy)->Choose(candidates)].index, 5u);
 }
 
 TEST(GreedyTieBreakTest, ChooseBatchRanksTiesStablyAtEveryK) {

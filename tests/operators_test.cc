@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/trace.h"
+#include "operators/cost_feedback.h"
+#include "operators/iteration_task.h"
 #include "operators/min_max.h"
 #include "operators/operator_base.h"
 #include "operators/selection.h"
@@ -475,6 +479,142 @@ TEST(SumAveVaoTest, InputValidation) {
   SumAveOptions bad;
   bad.epsilon = 0.0;
   EXPECT_FALSE(SumAveVao(bad).Evaluate(ptrs, {1.0}).ok());
+}
+
+// Regression: under the heap chooser a SUM/AVE task that shares its objects
+// with a sibling task folds the sibling's refinements into its sum, but it
+// used to leave their old scores in the heap. A stale score could then pop
+// an object the sibling had already driven to its stopping condition, and
+// the task iterated it past the point ResultObject forbids.
+TEST(SumAveHeapTest, SiblingConvergedObjectsAreNeverRefinedAgain) {
+  WorkMeter meter;
+  std::vector<FakeResultObject> objects;
+  // Three tied maxima: MIN/MAX refines each of them to its stopping
+  // condition (termination case 2) while SUM/AVE is still working.
+  for (const double v : {100.0, 100.0, 100.0, 50.0, 60.0, 70.0, 80.0}) {
+    objects.push_back(MakeFake(v, 10.0, 0.5, &meter));
+  }
+  std::vector<vao::ResultObject*> ptrs;
+  for (auto& o : objects) ptrs.push_back(&o);
+
+  SumAveOptions sum_options;
+  sum_options.epsilon = 1e-6;  // below the minWidth floor: runs to the end
+  sum_options.use_heap_index = true;
+  sum_options.meter = &meter;
+  MinMaxOptions max_options;
+  max_options.epsilon = 0.01;
+  max_options.meter = &meter;
+  auto sum = SumAveIterationTask::Create(sum_options, ptrs,
+                                         SumWeights(ptrs.size()));
+  auto max = MinMaxIterationTask::Create(max_options, ptrs);
+  ASSERT_TRUE(sum.ok()) << sum.status();
+  ASSERT_TRUE(max.ok()) << max.status();
+
+  int sibling_converged = 0;
+  for (int step = 0; step < 1000 && !(*sum)->Done(); ++step) {
+    std::vector<int> before;
+    for (const auto& o : objects) before.push_back(o.iterations());
+    std::vector<bool> stopped;
+    for (const auto& o : objects) stopped.push_back(o.AtStoppingCondition());
+    ASSERT_TRUE((*sum)->Step(&meter).ok());
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+      if (stopped[i]) {
+        EXPECT_EQ(objects[i].iterations(), before[i])
+            << "SUM/AVE refined object " << i
+            << " past its stopping condition at step " << step;
+      }
+    }
+    if (!(*max)->Done()) {
+      for (std::size_t i = 0; i < objects.size(); ++i) {
+        before[i] = objects[i].iterations();
+      }
+      ASSERT_TRUE((*max)->Step(&meter).ok());
+      for (std::size_t i = 0; i < objects.size(); ++i) {
+        if (objects[i].iterations() != before[i] &&
+            objects[i].AtStoppingCondition()) {
+          ++sibling_converged;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE((*sum)->Done());
+  EXPECT_TRUE((*max)->Done());
+  // The scenario really exercised the sibling path.
+  EXPECT_GE(sibling_converged, 3);
+  const SumOutcome outcome = (*sum)->Snapshot();
+  EXPECT_TRUE(outcome.limited_by_min_width);
+  EXPECT_TRUE(outcome.sum_bounds.Contains(560.0)) << outcome.sum_bounds;
+}
+
+// A feedback store that predicts every object costs 4x its estimate and
+// tightens half as much as predicted, so every candidate is corrected.
+class FixedRatioFeedback : public CostFeedback {
+ public:
+  void Record(std::uint64_t, int, const CostObservation&) override {}
+  bool Predict(std::uint64_t, int, double* cost_ratio,
+               double* shrink_ratio) const override {
+    *cost_ratio = 4.0;
+    *shrink_ratio = 0.5;
+    return true;
+  }
+};
+
+// The decision trace's raw_score is the pick's score on its uncorrected
+// estimates. Without a correction that is the score itself, so the choose
+// step keeps no raw copy of the candidates; under a correction the two
+// differ and raw_score still reads the uncorrected benefit/cost.
+std::vector<obs::TraceEvent> SumAveDecisions(StrategyKind strategy,
+                                             CostFeedback* feedback) {
+  const obs::TraceMode previous = obs::CurrentTraceMode();
+  obs::SetTraceMode(obs::TraceMode::kFlight);
+  obs::ClearTrace();
+  std::vector<FakeResultObject> objects;
+  for (const double v : {90.0, 100.0, 110.0, 120.0}) {
+    objects.push_back(MakeFake(v, 5.0 + v / 20.0));
+  }
+  std::vector<vao::ResultObject*> ptrs;
+  for (auto& o : objects) ptrs.push_back(&o);
+  SumAveOptions options;
+  options.epsilon = 0.5;
+  options.strategy = strategy;
+  options.feedback = feedback;
+  const auto outcome =
+      EvaluateTask<SumAveIterationTask>(options, ptrs, SumWeights(4));
+  std::vector<obs::TraceEvent> decisions;
+  for (const obs::TraceEvent& e : obs::SnapshotTrace().events) {
+    if (e.kind == obs::TraceEvent::Kind::kDecision) decisions.push_back(e);
+  }
+  obs::SetTraceMode(previous);
+  EXPECT_TRUE(outcome.ok()) << outcome.status();
+  return decisions;
+}
+
+TEST(DecisionTraceTest, GreedyRawScoreIsTheScore) {
+  const std::vector<obs::TraceEvent> decisions =
+      SumAveDecisions(StrategyKind::kGreedy, nullptr);
+  ASSERT_FALSE(decisions.empty());
+  for (const obs::TraceEvent& e : decisions) {
+    EXPECT_GT(e.score, 0.0);
+    EXPECT_EQ(e.raw_score, e.score) << "object " << e.object_index;
+  }
+}
+
+TEST(DecisionTraceTest, CorrectedRawScoreIsTheUncorrectedBenefitPerCost) {
+  FixedRatioFeedback feedback;
+  const std::vector<obs::TraceEvent> decisions =
+      SumAveDecisions(StrategyKind::kCalibratedGreedy, &feedback);
+  ASSERT_FALSE(decisions.empty());
+  int differing = 0;
+  for (const obs::TraceEvent& e : decisions) {
+    if (e.raw_score != e.score) ++differing;
+    // The SUM/AVE benefit at weight 1 on the picked object's own raw
+    // estimates, per raw estimated cost.
+    const double raw_benefit = std::max(
+        0.0, 1.0 * ((e.est_lo - e.lo_before) + (e.hi_before - e.est_hi)));
+    EXPECT_EQ(e.raw_score, raw_benefit / std::max(e.est_cost, 1.0))
+        << "object " << e.object_index;
+  }
+  EXPECT_GT(differing, 0);
 }
 
 TEST(SumWeightsTest, Helpers) {
