@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <numeric>
 #include <utility>
 
 #include "common/macros.h"
@@ -518,7 +517,6 @@ void TickPipeline::PlanSelections(const std::vector<std::size_t>& members,
                      : operators::RowFaultPolicy::kSettleStalls);
   if (!created.ok()) return fail_all(created.status());
   operators::MultiRowDecisionTask* task = created->get();
-  if (!Sequential()) task->SetFeedback(options_.history.get(), &object_ids_);
   const std::size_t index = tick->tasks.size();
   tick->tasks.push_back(std::move(created).value());
   for (std::size_t m = 0; m < members.size(); ++m) {
@@ -571,7 +569,7 @@ Status TickPipeline::PlanQuery(std::size_t q, Tick* tick) {
     }
   }
   // Stamps the shared knobs on an exact aggregate: precision, meter, the
-  // parallel coarse phase and the predictive-planning options.
+  // parallel coarse phase and the iteration strategy.
   auto configure = [&](operators::OperatorOptions* options, bool coarse) {
     options->epsilon = query.epsilon;
     options->meter = meter_;
@@ -581,9 +579,6 @@ Status TickPipeline::PlanQuery(std::size_t q, Tick* tick) {
       options->coarse_max_steps = kCoarseMaxSteps;
     }
     options->strategy = options_.strategy;
-    options->sentinel_probes = options_.sentinel_probes;
-    options->feedback = options_.history.get();
-    options->object_ids = &object_ids_;
   };
 
   std::unique_ptr<operators::IterationTask> task;
@@ -679,8 +674,8 @@ Status TickPipeline::PlanQuery(std::size_t q, Tick* tick) {
       if (IsApprox(query)) {
         // Upfront uniform sample; the task then refines only the sampled
         // objects (a heuristic tier -- the interval provenance marks the
-        // answer approximate but carries no per-rank CLT guarantee; the
-        // predictive feedback is skipped: its ids are row-indexed).
+        // answer approximate but carries no per-rank CLT guarantee; it
+        // keeps the default greedy strategy).
         if (query.k < 1 || query.k > n) {
           return Status::InvalidArgument("top-k k out of range");
         }
@@ -774,13 +769,6 @@ Result<std::vector<Result<TickResult>>> TickPipeline::Run(
   }
   const std::size_t n = relation_->size();
   if (n == 0) return Status::FailedPrecondition("relation is empty");
-  if (object_ids_.size() != n) {
-    object_ids_.resize(n);
-    std::iota(object_ids_.begin(), object_ids_.end(), std::uint64_t{0});
-  }
-  // Tick boundary for the cross-tick cost history: decay last tick's
-  // learned ratios before this tick's operators read or extend them.
-  if (options_.history != nullptr) options_.history->BeginTick();
 
   const obs::ScopedSpan tick_span(
       "tick", mode_ == ExecutionMode::kTraditional ? "traditional"

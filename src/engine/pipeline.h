@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/work_meter.h"
-#include "engine/cost_history.h"
 #include "engine/query.h"
 #include "engine/relation.h"
 #include "engine/scheduler.h"
@@ -170,19 +169,8 @@ struct MultiQueryOptions {
   std::vector<std::string> owners;
 
   /// Iteration strategy for every aggregate operator the executor runs
-  /// (kCalibratedGreedy / kSentinelGreedy enable calibration-corrected
-  /// scoring; see operators/operator_base.h).
+  /// (see operators/operator_base.h).
   operators::StrategyKind strategy = operators::StrategyKind::kGreedy;
-  /// kSentinelGreedy: probe budget per correlation group.
-  int sentinel_probes = 2;
-
-  /// Optional per-(row, solver kind) cost history shared across ticks: the
-  /// executor records every serial iterate into it (keyed by row index, so
-  /// identities survive the per-tick result-object rebuild), calls
-  /// BeginTick() once per tick, and the corrected strategies read it back.
-  /// Share one store across executors (the server dispatcher does, per
-  /// query group) to carry corrections across rebuilds.
-  std::shared_ptr<CostHistory> history;
 };
 
 /// \brief The plan -> drive -> emit tick loop over a fixed query list.
@@ -295,9 +283,6 @@ class TickPipeline {
   std::vector<std::uint64_t> last_scheduler_spent_;
 
   std::vector<BoundArg> bound_args_;  ///< shared bindings (validated equal)
-  /// Stable per-row identities for the cost history (row index: the
-  /// relation row a shared object was built from, constant across ticks).
-  std::vector<std::uint64_t> object_ids_;
   /// Traditional mode's baseline (lazy per-args calibration cache inside).
   std::unique_ptr<vao::CalibratedBlackBox> black_box_;
 };

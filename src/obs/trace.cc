@@ -307,7 +307,6 @@ void RecordDecision(const Decision& decision) {
   event.est_cost = decision.est_cost;
   event.actual_cost = decision.actual_cost;
   event.score = decision.score;
-  event.raw_score = decision.raw_score;
   Push(event);
 }
 
@@ -399,8 +398,6 @@ void ExportChromeTrace(const TraceSnapshot& snapshot, std::ostream& os) {
       AppendJsonDouble(os, event.actual_cost);
       os << ", \"score\": ";
       AppendJsonDouble(os, event.score);
-      os << ", \"raw_score\": ";
-      AppendJsonDouble(os, event.raw_score);
     }
     os << "}}";
   }

@@ -113,10 +113,6 @@ struct TraceEvent {
   double est_cost = 0.0;              ///< predicted work units
   double actual_cost = 0.0;           ///< measured work-unit delta
   double score = 0.0;                 ///< greedy benefit/cost score that won
-  /// Score the raw (uncorrected) estimates would have produced. Equal to
-  /// `score` under the classic strategies; under kCalibratedGreedy /
-  /// kSentinelGreedy the gap between the two is why the pick changed.
-  double raw_score = 0.0;
   /// @}
 };
 
@@ -141,7 +137,6 @@ struct Decision {
   double est_cost = 0.0;
   double actual_cost = 0.0;
   double score = 0.0;
-  double raw_score = 0.0;  ///< score from uncorrected estimates
 };
 
 /// \brief Records one per-iteration decision event. Callers should gate on

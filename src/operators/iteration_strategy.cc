@@ -20,10 +20,8 @@ namespace {
 // top-1 is exactly Choose().
 class GreedyStrategy : public IterationStrategy {
  public:
-  // Every greedy kind is this class, named after its kind: the aggregates
-  // ask for more than one pick only under kBatchGreedy, and the corrected
-  // strategies' corrections are applied to the candidates' benefit/cost
-  // before the choice runs.
+  // Both greedy kinds are this class, named after their kind: the
+  // aggregates ask for more than one pick only under kBatchGreedy.
   explicit GreedyStrategy(const char* name) : name_(name) {}
 
   const char* name() const override { return name_; }
@@ -129,8 +127,6 @@ Result<std::unique_ptr<IterationStrategy>> MakeStrategy(StrategyKind kind,
   switch (kind) {
     case StrategyKind::kGreedy:
     case StrategyKind::kBatchGreedy:
-    case StrategyKind::kCalibratedGreedy:
-    case StrategyKind::kSentinelGreedy:
       return std::unique_ptr<IterationStrategy>(
           new GreedyStrategy(StrategyKindName(kind)));
     case StrategyKind::kRoundRobin:

@@ -45,8 +45,7 @@ class IterationStrategy {
   virtual ~IterationStrategy() = default;
 
   /// Source-level name, StrategyKindName() of its kind: "greedy",
-  /// "round_robin", "random", "batch_greedy", "calibrated_greedy" or
-  /// "sentinel_greedy".
+  /// "round_robin", "random" or "batch_greedy".
   virtual const char* name() const = 0;
 
   /// True when Choose() reads benefit/cost/width. Operators skip computing

@@ -63,8 +63,7 @@ struct DecisionCapture {
 DecisionCapture BeginDecision(const char* op, const char* phase,
                               std::size_t index,
                               const vao::ResultObject& object,
-                              const WorkMeter* meter, double score,
-                              double raw_score) {
+                              const WorkMeter* meter, double score) {
   DecisionCapture capture;
   capture.active = obs::DecisionTraceActive();
   if (!capture.active) return capture;
@@ -81,7 +80,6 @@ DecisionCapture BeginDecision(const char* op, const char* phase,
   capture.decision.est_hi = est.hi;
   capture.decision.est_cost = static_cast<double>(object.est_cost());
   capture.decision.score = score;
-  capture.decision.raw_score = raw_score;
   capture.work_before = meter != nullptr ? meter->Total() : 0;
   return capture;
 }
@@ -178,7 +176,6 @@ AggregateTask::AggregateTask(const OperatorOptions& options,
       label_(label),
       max_iterations_(options.max_total_iterations),
       strategy_(std::move(strategy)),
-      corrector_(options, objects_),
       stall_(objects.size()),
       touched_(objects.size(), false) {}
 
@@ -208,96 +205,62 @@ Status AggregateTask::ChooseAndRefine(const std::vector<std::size_t>& iterable,
   ++stats_.choose_steps;
   if (meter != nullptr) meter->Charge(WorkKind::kChooseIter, choose_work);
 
-  // Sentinel probing (kSentinelGreedy): spend this cycle on a pending
-  // correlation-group probe instead of the greedy pick; the observed
-  // outcome re-ranks the probe's whole group.
-  std::size_t probe = 0;
-  if (corrector_.NextProbe(iterable, &probe)) {
-    return Refine(probe, "sentinel", 0.0, 0.0, &stats_.greedy_iterations,
-                  meter);
-  }
-
-  // Candidates scored on raw estimates, then corrected in place under a
-  // corrected strategy. Only a correction needs the raw copies: they feed
-  // the decision trace's raw_score, which otherwise is the score itself.
+  // Every candidate is scored on its own raw estimates -- the paper's
+  // estCPU/estL/estH -- unless the strategy never reads scores.
   std::vector<IterationCandidate> candidates;
-  std::vector<IterationCandidate> raw_candidates;
   candidates.reserve(iterable.size());
   if (!strategy_->WantsScores()) {
     for (const std::size_t i : iterable) {
       candidates.push_back(IterationCandidate{i, 0.0, 1.0, 0.0});
     }
   } else {
-    const bool correcting = corrector_.correcting();
-    if (correcting) raw_candidates.reserve(iterable.size());
     for (const std::size_t i : iterable) {
       const vao::ResultObject& object = *objects_[i];
-      const double raw_benefit = benefit(i, object.est_bounds());
-      const double raw_cost = EstCostOf(object);
-      candidates.push_back(
-          IterationCandidate{i, raw_benefit, raw_cost, width(i)});
-      if (!correcting) continue;
-      raw_candidates.push_back(candidates.back());
-      const ScoreCorrector::Corrected corrected = corrector_.Correct(
-          i, object.bounds(), object.est_bounds(), raw_cost);
-      if (corrected.changed) {
-        candidates.back().benefit = benefit(i, corrected.est);
-        candidates.back().cost = corrected.cost;
-      }
+      candidates.push_back(IterationCandidate{
+          i, benefit(i, object.est_bounds()), EstCostOf(object), width(i)});
     }
   }
-  const std::vector<IterationCandidate>& raws =
-      raw_candidates.empty() ? candidates : raw_candidates;
   std::vector<std::size_t> positions;
   strategy_->ChooseBatch(candidates, batch_k_, &positions);
 
   if (positions.size() == 1) {
     const std::size_t p = positions.front();
     return Refine(candidates[p].index, phase, TracedScore(candidates[p]),
-                  TracedScore(raws[p]), &stats_.greedy_iterations, meter);
+                  &stats_.greedy_iterations, meter);
   }
   std::vector<std::size_t> picks;
   std::vector<double> scores;
-  std::vector<double> raw_scores;
   for (const std::size_t p : positions) {
     picks.push_back(candidates[p].index);
     scores.push_back(TracedScore(candidates[p]));
-    raw_scores.push_back(TracedScore(raws[p]));
   }
-  return RefineBatch(picks, scores, raw_scores, phase, meter);
+  return RefineBatch(picks, scores, phase, meter);
 }
 
 Status AggregateTask::Refine(std::size_t i, const char* phase, double score,
-                             double raw_score, std::uint64_t* phase_counter,
-                             WorkMeter* meter) {
+                             std::uint64_t* phase_counter, WorkMeter* meter) {
   DecisionCapture trace =
-      BeginDecision(name(), phase, i, *objects_[i], meter, score, raw_score);
-  const ScoreCorrector::Observation observation =
-      corrector_.BeginObserve(i, meter);
+      BeginDecision(name(), phase, i, *objects_[i], meter, score);
   VAOLIB_RETURN_IF_ERROR(objects_[i]->Iterate());
   CommitDecision(&trace);
-  corrector_.CommitObserve(observation, &stats_);
   VAOLIB_RETURN_IF_ERROR(Observe(i, phase_counter));
   return CheckIterationCap();
 }
 
 Status AggregateTask::RefineBatch(const std::vector<std::size_t>& picks,
                                   const std::vector<double>& scores,
-                                  const std::vector<double>& raw_scores,
                                   const char* phase, WorkMeter* meter) {
   // Capture every pick's before-state up front, hand the whole set to
   // vao::IterateBatch (which routes compatible objects through the lockstep
-  // kernels), then record decisions and observations in pick order with the
+  // kernels), then record decisions and refinements in pick order with the
   // per-object spend the batch tier attributes -- those spends sum exactly
   // to the meter's delta, so traces and accounting match the scalar path.
   std::vector<DecisionCapture> traces;
-  std::vector<ScoreCorrector::Observation> observations;
   std::vector<vao::ResultObject*> batch;
   for (std::size_t j = 0; j < picks.size(); ++j) {
     const std::size_t i = picks[j];
     traces.push_back(BeginDecision(name(), phase, i, *objects_[i], nullptr,
-                                   scores[j], raw_scores[j]));
-    observations.push_back(corrector_.BeginObserve(i, nullptr));
+                                   scores[j]));
     batch.push_back(objects_[i]);
   }
   const vao::BatchIterateOutcome outcome = vao::IterateBatch(batch, meter);
@@ -308,10 +271,8 @@ Status AggregateTask::RefineBatch(const std::vector<std::size_t>& picks,
     if (first_error.ok()) first_error = outcome.statuses[j];
   }
   VAOLIB_RETURN_IF_ERROR(first_error);
-  for (std::size_t j = 0; j < picks.size(); ++j) {
-    corrector_.CommitObserveCost(
-        observations[j], static_cast<double>(outcome.spent[j]), &stats_);
-    VAOLIB_RETURN_IF_ERROR(Observe(picks[j], &stats_.greedy_iterations));
+  for (const std::size_t i : picks) {
+    VAOLIB_RETURN_IF_ERROR(Observe(i, &stats_.greedy_iterations));
   }
   return CheckIterationCap();
 }
@@ -458,7 +419,7 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
       vao::ResultObject* winner = objects_[outcome_.winner_index];
       if (winner->bounds().Width() > options_.epsilon &&
           !EffectivelyConverged(outcome_.winner_index)) {
-        return Refine(outcome_.winner_index, "finalize", 0.0, 0.0,
+        return Refine(outcome_.winner_index, "finalize", 0.0,
                       &stats_.finalize_iterations, meter);
       }
       Finish();
@@ -610,10 +571,8 @@ Status SumAveIterationTask::StepImpl(WorkMeter* meter) {
         seen_bounds_.push_back(object->bounds());
         seen_iterations_.push_back(object->iterations());
       }
-      // The lazy heap caches each object's score at push time, which is
-      // only sound while scores depend on the object alone. The corrected
-      // strategies re-derive scores from live history/sentinel state every
-      // cycle, so they always take the O(N) scan path.
+      // The lazy heap caches each object's greedy score at push time; the
+      // strategies that do not score take the O(N) scan path.
       if (options_.use_heap_index &&
           (options_.strategy == StrategyKind::kGreedy ||
            options_.strategy == StrategyKind::kBatchGreedy)) {
@@ -699,9 +658,9 @@ Status SumAveIterationTask::StepHeap(WorkMeter* meter) {
 
   VAOLIB_RETURN_IF_ERROR(
       picks.size() == 1
-          ? Refine(picks.front(), "heap", scores.front(), scores.front(),
+          ? Refine(picks.front(), "heap", scores.front(),
                    &stats_.greedy_iterations, meter)
-          : RefineBatch(picks, scores, scores, "heap", meter));
+          : RefineBatch(picks, scores, "heap", meter));
   // Stalled objects simply stop being re-pushed, so their (sound, frozen)
   // contribution stays in the sum.
   for (const std::size_t i : picks) {
@@ -856,7 +815,7 @@ Status TopKIterationTask::StepImpl(WorkMeter* meter) {
         const std::size_t i = members_[finalize_cursor_];
         if (objects_[i]->bounds().Width() > options_.epsilon &&
             !EffectivelyConverged(i)) {
-          return Refine(i, "finalize", 0.0, 0.0, &stats_.finalize_iterations,
+          return Refine(i, "finalize", 0.0, &stats_.finalize_iterations,
                         meter);
         }
         ++finalize_cursor_;
@@ -1036,17 +995,13 @@ Status MultiRowDecisionTask::StepImpl(WorkMeter* meter) {
   // after the batch, on this (driving) thread in pending order, so the
   // event sequence is deterministic regardless of how the pool interleaves.
   const bool tracing = obs::DecisionTraceActive();
-  // Feedback recording reuses the same pre-captured state; it also runs on
-  // the driving thread in pending order, so the history a run leaves behind
-  // is identical at every thread count.
-  const bool capture_before = tracing || feedback_ != nullptr;
   struct RowBefore {
     Bounds bounds;
     Bounds est;
     double est_cost;
   };
   std::vector<RowBefore> before;
-  if (capture_before) {
+  if (tracing) {
     before.reserve(pending.size());
     for (const std::size_t i : pending) {
       before.push_back(RowBefore{
@@ -1088,25 +1043,6 @@ Status MultiRowDecisionTask::StepImpl(WorkMeter* meter) {
       decision.lo_after = after.lo;
       decision.hi_after = after.hi;
       obs::RecordDecision(decision);
-    }
-    if (feedback_ != nullptr) {
-      // Shrink-only observation: per-row cost is unattributable on the
-      // threaded path, and a serially-attributed cost would make the
-      // recorded history depend on the thread count.
-      CostObservation cost_observation;
-      cost_observation.est_cost = std::max(before[p].est_cost, 1.0);
-      cost_observation.actual_cost = -1.0;
-      cost_observation.est_shrink =
-          std::max(0.0, before[p].est.lo - before[p].bounds.lo) +
-          std::max(0.0, before[p].bounds.hi - before[p].est.hi);
-      cost_observation.actual_shrink = std::max(
-          0.0, before[p].bounds.Width() - objects_[i]->bounds().Width());
-      const std::uint64_t id =
-          feedback_ids_ != nullptr && i < feedback_ids_->size()
-              ? (*feedback_ids_)[i]
-              : static_cast<std::uint64_t>(i);
-      feedback_->Record(id, objects_[i]->calibration_kind(),
-                        cost_observation);
     }
     if (!touched_[i]) {
       touched_[i] = true;

@@ -31,7 +31,6 @@
 #include "operators/iteration_strategy.h"
 #include "operators/min_max.h"
 #include "operators/operator_base.h"
-#include "operators/score_corrector.h"
 #include "operators/score_heap.h"
 #include "operators/sum_ave.h"
 #include "operators/top_k.h"
@@ -140,9 +139,9 @@ auto EvaluateTask(const Options& options, const Inputs&... inputs)
 /// \p object, per estimated CPU cycle.
 double SumGreedyScore(const vao::ResultObject& object, double weight);
 
-/// \brief The core every aggregate task shares: its objects, strategy and
-/// score corrector, stall guards and touched flags, one refine path and one
-/// choose step (the paper's chooseIter). The aggregates differ only in what
+/// \brief The core every aggregate task shares: its objects and strategy,
+/// stall guards and touched flags, one refine path and one choose step (the
+/// paper's chooseIter). The aggregates differ only in what
 /// refining a candidate is worth -- overlap reduction for MIN/MAX and
 /// TOP-K, weighted error reduction for SUM/AVE -- and in their own
 /// termination rules, which each subclass keeps.
@@ -164,13 +163,11 @@ class AggregateTask : public IterationTask {
   Status CoarsePhase(const OperatorOptions& options);
 
   /// One chooseIter cycle over \p iterable (ascending object indices,
-  /// non-empty), charging \p choose_work chooseIter units. A pending
-  /// sentinel probe pre-empts the pick. Otherwise every candidate i is
-  /// scored benefit(i, est) per estimated CPU cycle -- on its raw
-  /// est_bounds() and, under a corrected strategy, on its corrected
-  /// estimates -- with width(i) as the fallback when nothing predicts
-  /// progress, and the strategy's pick is refined: one object, or a batch
-  /// cycle under kBatchGreedy. Defined in iteration_task.cc, where its only
+  /// non-empty), charging \p choose_work chooseIter units. Every candidate
+  /// i is scored benefit(i, est_bounds()) per estimated CPU cycle, with
+  /// width(i) as the fallback when nothing predicts progress, and the
+  /// strategy's pick is refined: one object, or a batch cycle under
+  /// kBatchGreedy. Defined in iteration_task.cc, where its only
   /// callers live.
   template <typename Benefit, typename Width>
   Status ChooseAndRefine(const std::vector<std::size_t>& iterable,
@@ -178,18 +175,15 @@ class AggregateTask : public IterationTask {
                          const Benefit& benefit, const Width& width,
                          WorkMeter* meter);
 
-  /// Iterates object \p i once, traced and observed by the score
-  /// corrector, then records the refinement against \p phase_counter.
+  /// Iterates object \p i once, traced, then records the refinement
+  /// against \p phase_counter.
   Status Refine(std::size_t i, const char* phase, double score,
-                double raw_score, std::uint64_t* phase_counter,
-                WorkMeter* meter);
+                std::uint64_t* phase_counter, WorkMeter* meter);
 
   /// Refines \p picks together through the batch tier (lockstep kernels
-  /// for compatible objects); \p scores and \p raw_scores are in pick
-  /// order.
+  /// for compatible objects); \p scores are in pick order.
   Status RefineBatch(const std::vector<std::size_t>& picks,
-                     const std::vector<double>& scores,
-                     const std::vector<double>& raw_scores, const char* phase,
+                     const std::vector<double>& scores, const char* phase,
                      WorkMeter* meter);
 
   /// NotConverged once more than max_total_iterations were issued.
@@ -213,7 +207,6 @@ class AggregateTask : public IterationTask {
   const char* label_;
   const std::uint64_t max_iterations_;
   std::unique_ptr<IterationStrategy> strategy_;
-  ScoreCorrector corrector_;
   std::vector<StallGuard> stall_;
   std::vector<bool> touched_;
 };
@@ -380,18 +373,6 @@ class MultiRowDecisionTask : public IterationTask {
 
   const char* name() const override { return "selection_rows"; }
 
-  /// Attaches a cost-history store: each refined row's predicted-vs-actual
-  /// bound shrink is recorded after every Step(). Only shrink is recorded
-  /// (actual per-row cost is unattributable on the threaded path, and
-  /// recording it serially-only would make the history depend on the
-  /// thread count). \p ids, when non-null, maps row index -> stable object
-  /// id; both pointers are borrowed and must outlive the task.
-  void SetFeedback(CostFeedback* feedback,
-                   const std::vector<std::uint64_t>* ids) {
-    feedback_ = feedback;
-    feedback_ids_ = ids;
-  }
-
   /// True when row \p i no longer needs refinement (predicate decidable
   /// from bounds, object converged, or quarantined after a failure).
   bool RowSettled(std::size_t i) const { return settled_[i]; }
@@ -422,8 +403,6 @@ class MultiRowDecisionTask : public IterationTask {
   UndecidedFn undecided_;
   int threads_;
   RowFaultPolicy faults_;
-  CostFeedback* feedback_ = nullptr;
-  const std::vector<std::uint64_t>* feedback_ids_ = nullptr;
   std::vector<StallGuard> stall_;
   std::vector<bool> settled_;
   std::vector<bool> settled_early_;

@@ -76,17 +76,8 @@ const char* StrategyKindName(StrategyKind kind) {
       return "random";
     case StrategyKind::kBatchGreedy:
       return "batch_greedy";
-    case StrategyKind::kCalibratedGreedy:
-      return "calibrated_greedy";
-    case StrategyKind::kSentinelGreedy:
-      return "sentinel_greedy";
   }
   return "?";
-}
-
-bool StrategyUsesCorrections(StrategyKind kind) {
-  return kind == StrategyKind::kCalibratedGreedy ||
-         kind == StrategyKind::kSentinelGreedy;
 }
 
 const char* ComparatorToString(Comparator cmp) {

@@ -13,7 +13,6 @@
 #include "common/stall_guard.h"
 #include "common/status.h"
 #include "common/work_meter.h"
-#include "operators/cost_feedback.h"
 #include "vao/result_object.h"
 
 namespace vaolib::operators {
@@ -45,26 +44,11 @@ enum class StrategyKind {
   kRandom,       ///< uniform over live candidates
   kBatchGreedy,  ///< top-K by greedy score per cycle (batch execution tier);
                  ///< K = OperatorOptions::batch_k, K=1 == kGreedy exactly
-  /// Greedy over calibration-corrected estimates: each candidate's
-  /// estCPU/estL/estH is rescaled by the per-(object, kind) CostHistory
-  /// ratios when available. Zero-history candidates score on their raw
-  /// estimates bit-exactly, so with no feedback this is kGreedy.
-  kCalibratedGreedy,
-  /// kCalibratedGreedy plus sentinel re-ranking: a small probe budget is
-  /// spent on the cheapest members of each correlation group (objects
-  /// sharing a correlation_key()); the observed-vs-predicted ratios fitted
-  /// from the probes rescale the rest of the group's scores before the
-  /// main greedy loop spends on them.
-  kSentinelGreedy,
 };
 
 /// \brief Returns the source-level spelling ("greedy", "round_robin",
-/// "random", "batch_greedy", "calibrated_greedy", "sentinel_greedy").
+/// "random", "batch_greedy").
 const char* StrategyKindName(StrategyKind kind);
-
-/// \brief True for the strategies that score on corrected estimates
-/// (kCalibratedGreedy, kSentinelGreedy).
-bool StrategyUsesCorrections(StrategyKind kind);
 
 /// \brief Options shared by every operator family -- the one consolidated
 /// configuration surface behind the unified operator API. Family-specific
@@ -106,27 +90,6 @@ struct OperatorOptions {
   /// WorkScheduler enforces cross-query budgets one level up through the
   /// same IterationTask surface.
   std::uint64_t budget = 0;
-
-  /// \name Predictive planning (operators/cost_feedback.h).
-  /// When `feedback` is non-null the serial adaptive paths record every
-  /// iterate's actual-vs-estimated cost and shrink into it (under any
-  /// strategy, so a baseline run can collect the same audit), and the
-  /// corrected strategies (kCalibratedGreedy / kSentinelGreedy) consult it
-  /// when scoring. `object_ids`, when set, must parallel the operator's
-  /// object vector and supply stable identities that survive object
-  /// rebuilds across ticks (the engine passes relation row indices); when
-  /// null the object's position is used.
-  /// @{
-  CostFeedback* feedback = nullptr;
-  const std::vector<std::uint64_t>* object_ids = nullptr;
-  /// Probes per correlation group under kSentinelGreedy (clamped to group
-  /// size - 1; groups of one are never probed).
-  int sentinel_probes = 2;
-  /// Test-only (differential mutation mode): inverts the correction
-  /// ratios, so corrections actively worsen estimates. The sweep's
-  /// calibration audit must catch this.
-  bool mutate_flip_correction = false;
-  /// @}
 };
 
 /// \brief Per-evaluation execution statistics reported by every operator.
@@ -148,18 +111,6 @@ struct OperatorStats {
   std::uint64_t finalize_iterations = 0; ///< winner/member refinement
   /// @}
 
-  /// \name Predictive-planning audit (filled when OperatorOptions::feedback
-  /// is set and the path can measure per-object actual costs). The MAE of
-  /// the raw estimates is raw_cost_abs_err / cost_err_samples; of the
-  /// corrected estimates, corrected_cost_abs_err / cost_err_samples. Under
-  /// the uncorrected strategies the two sums are equal.
-  /// @{
-  std::uint64_t cost_err_samples = 0;     ///< decisions with measured cost
-  std::uint64_t corrected_decisions = 0;  ///< decisions a correction changed
-  double raw_cost_abs_err = 0.0;          ///< sum |actual - raw est| cost
-  double corrected_cost_abs_err = 0.0;    ///< sum |actual - corrected est|
-  /// @}
-
   /// Accumulates \p other into this (used by batch/multi-query paths).
   void Merge(const OperatorStats& other) {
     iterations += other.iterations;
@@ -169,10 +120,6 @@ struct OperatorStats {
     coarse_iterations += other.coarse_iterations;
     greedy_iterations += other.greedy_iterations;
     finalize_iterations += other.finalize_iterations;
-    cost_err_samples += other.cost_err_samples;
-    corrected_decisions += other.corrected_decisions;
-    raw_cost_abs_err += other.raw_cost_abs_err;
-    corrected_cost_abs_err += other.corrected_cost_abs_err;
   }
 };
 

@@ -10,7 +10,6 @@
 
 #include "common/macros.h"
 #include "common/stats.h"
-#include "engine/cost_history.h"
 #include "engine/executor.h"
 #include "engine/report_capture.h"
 #include "obs/flight_recorder.h"
@@ -19,11 +18,9 @@
 #include "engine/sql_parser.h"
 #include "operators/min_max.h"
 #include "operators/sum_ave.h"
-#include "testing/chaos_result_object.h"
 #include "testing/invariant_checker.h"
 #include "testing/oracle.h"
 #include "vao/function_cache.h"
-#include "vao/synthetic_result_object.h"
 
 namespace vaolib::testing {
 
@@ -63,10 +60,6 @@ engine::Query Mutate(engine::Query query, Mutation mutation) {
       } else if (query.kind == engine::QueryKind::kMin) {
         query.kind = engine::QueryKind::kMax;
       }
-      break;
-    case Mutation::kFlipCalibrationSign:
-      // Planted in the operators' correction path, not in the query text
-      // (see OperatorOptions::mutate_flip_correction).
       break;
   }
   return query;
@@ -528,8 +521,6 @@ Status DifferentialRunner::RunStrategySweep(std::uint64_t seed,
       options.strategy = strategy_variant.strategy;
       options.batch_k = strategy_variant.batch_k;
       options.rng = &strategy_rng;
-      options.mutate_flip_correction =
-          options_.mutation == Mutation::kFlipCalibrationSign;
       const operators::MinMaxVao vao(options);
       VAOLIB_ASSIGN_OR_RETURN(const operators::MinMaxOutcome outcome,
                               vao.Evaluate(raw(owned)));
@@ -582,8 +573,6 @@ Status DifferentialRunner::RunStrategySweep(std::uint64_t seed,
     options.use_heap_index = sum_variant.heap;
     options.batch_k = sum_variant.batch_k;
     options.rng = &strategy_rng;
-    options.mutate_flip_correction =
-        options_.mutation == Mutation::kFlipCalibrationSign;
     const operators::SumAveVao vao(options);
     VAOLIB_ASSIGN_OR_RETURN(const operators::SumOutcome outcome,
                             vao.Evaluate(raw(owned), workload.weights));
@@ -602,98 +591,6 @@ Status DifferentialRunner::RunStrategySweep(std::uint64_t seed,
               "): " + *detail,
           summary));
     }
-  }
-  return Status::OK();
-}
-
-Status DifferentialRunner::RunCalibrationAudit(std::uint64_t seed,
-                                               DifferentialSummary* summary) {
-  // Closed-loop check of the estimator corrections: a workload whose
-  // objects lie about estCPU by large per-row factors runs twice over one
-  // shared CostHistory. Pass 1 learns the per-row actual/estimated ratios;
-  // pass 2 must therefore predict costs strictly better corrected than
-  // raw. Under Mutation::kFlipCalibrationSign the learned ratios apply
-  // inverted, corrected MAE lands ABOVE raw MAE, and this audit fails --
-  // which is exactly what the mutation test asserts.
-  constexpr std::size_t kRows = 16;
-  Rng rng(seed ^ 0xCA11B8A7EULL);
-  engine::CostHistory history;
-  WorkMeter meter;
-
-  std::vector<double> cost_factors(kRows);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    // Lying factors spread in [2, 8] (and their reciprocals on odd rows)
-    // so the correction has to learn per-row scales, not one global one.
-    const double magnitude = rng.Uniform(2.0, 8.0);
-    cost_factors[i] = (i % 2 == 0) ? magnitude : 1.0 / magnitude;
-  }
-
-  std::vector<vao::ResultObjectPtr> owned;
-  auto make_objects = [&]() {
-    owned.clear();
-    owned.reserve(kRows);
-    std::vector<vao::ResultObject*> objects;
-    objects.reserve(kRows);
-    for (std::size_t i = 0; i < kRows; ++i) {
-      vao::SyntheticResultObject::Config config;
-      config.true_value = static_cast<double>(i);
-      config.initial_half_width = 8.0;
-      config.shrink = 0.6;
-      config.min_width = 0.01;
-      config.cost_per_iteration = 16;
-      config.meter = &meter;
-      FaultPlan plan;
-      plan.kind = FaultKind::kLyingEstimates;
-      plan.cost_factor = cost_factors[i];
-      owned.push_back(std::make_unique<ChaosResultObject>(
-          std::make_unique<vao::SyntheticResultObject>(config), plan));
-      objects.push_back(owned.back().get());
-    }
-    return objects;
-  };
-
-  auto run_pass = [&]() -> Result<operators::SumOutcome> {
-    const std::vector<vao::ResultObject*> objects = make_objects();
-    history.BeginTick();
-    operators::SumAveOptions options;
-    options.epsilon = 1.0;
-    options.strategy = operators::StrategyKind::kCalibratedGreedy;
-    options.feedback = &history;
-    // Actual per-iterate costs are measured as deltas on the meter the
-    // objects charge, so the operator must share it.
-    options.meter = &meter;
-    options.mutate_flip_correction =
-        options_.mutation == Mutation::kFlipCalibrationSign;
-    const operators::SumAveVao vao(options);
-    return vao.Evaluate(objects, std::vector<double>(kRows, 1.0));
-  };
-
-  VAOLIB_ASSIGN_OR_RETURN(const operators::SumOutcome warmup, run_pass());
-  VAOLIB_ASSIGN_OR_RETURN(const operators::SumOutcome corrected, run_pass());
-  ++summary->combos;
-  ++summary->combos_by_family["calibration"];
-
-  const operators::OperatorStats& stats = corrected.stats;
-  std::optional<std::string> detail;
-  if (warmup.stats.cost_err_samples == 0 || stats.cost_err_samples == 0) {
-    detail = "no measured-cost samples were recorded";
-  } else if (stats.corrected_decisions == 0) {
-    detail = "second pass never applied a learned correction";
-  } else if (stats.corrected_cost_abs_err >= stats.raw_cost_abs_err) {
-    std::ostringstream os;
-    os << "corrected cost MAE "
-       << stats.corrected_cost_abs_err /
-              static_cast<double>(stats.cost_err_samples)
-       << " is not below raw MAE "
-       << stats.raw_cost_abs_err /
-              static_cast<double>(stats.cost_err_samples)
-       << " over " << stats.cost_err_samples << " samples";
-    detail = os.str();
-  }
-  if (detail.has_value()) {
-    VAOLIB_RETURN_IF_ERROR(RecordFailure(
-        seed, {engine::QueryKind::kSum, 1}, 1, false,
-        "calibration audit: " + *detail, summary));
   }
   return Status::OK();
 }
@@ -981,8 +878,6 @@ Result<DifferentialSummary> DifferentialRunner::RunAll() {
     }
     if (!options_.strategies.empty()) {
       VAOLIB_RETURN_IF_ERROR(RunStrategySweep(seed, &summary));
-      if (summary.failures.size() >= options_.max_failures) return summary;
-      VAOLIB_RETURN_IF_ERROR(RunCalibrationAudit(seed, &summary));
       if (summary.failures.size() >= options_.max_failures) return summary;
     }
     if (!options_.scheduler_policies.empty()) {

@@ -35,10 +35,6 @@ enum class Mutation {
   kNone,
   kFlipComparator,  ///< selection: > <-> <=, < <-> >= (broken comparison)
   kSwapMinMax,      ///< extreme aggregates: MAX answered as MIN
-  /// Predictive planning: the calibration correction is applied with the
-  /// wrong sign (learned ratios inverted, biases negated). The calibration
-  /// audit must catch it: corrected estimates get WORSE than raw ones.
-  kFlipCalibrationSign,
 };
 
 /// \brief One query-kind variant in the sweep (k matters only for kTopK).
@@ -67,8 +63,6 @@ struct DifferentialOptions {
       operators::StrategyKind::kGreedy,
       operators::StrategyKind::kRoundRobin,
       operators::StrategyKind::kRandom,
-      operators::StrategyKind::kCalibratedGreedy,
-      operators::StrategyKind::kSentinelGreedy,
   };
   /// Batch-greedy axis of the strategy sweep: every K here additionally
   /// runs the aggregates with StrategyKind::kBatchGreedy and
@@ -175,13 +169,6 @@ class DifferentialRunner {
 
   /// Direct MinMaxVao/SumAveVao strategy sweep for one seed.
   Status RunStrategySweep(std::uint64_t seed, DifferentialSummary* summary);
-
-  /// Closed-loop calibration check for one seed: two passes of a
-  /// lying-estimate workload share one CostHistory; the second pass's
-  /// corrected cost MAE must be strictly below its raw MAE. This is the
-  /// check that catches Mutation::kFlipCalibrationSign.
-  Status RunCalibrationAudit(std::uint64_t seed,
-                             DifferentialSummary* summary);
 
   /// Scheduled MultiQueryExecutor sweep for one seed: every policy,
   /// unbudgeted then at each budget fraction (see

@@ -89,15 +89,13 @@ class ResultObject {
   /// Index into obs::SolverKind of the calibrated solver family this
   /// object's estimates come from, or -1 (the default) for objects outside
   /// those families (synthetic, custom black boxes). It keys the estimator
-  /// calibration audit and the cost history; wrappers must forward it.
+  /// calibration audit; wrappers must forward it.
   virtual int calibration_kind() const { return -1; }
 
-  /// Correlation-group key for sentinel re-ranking: objects sharing a
-  /// non-empty key are expected to move together (same rate tick, same
-  /// model family), so observations on a few members predict the rest.
-  /// Defaults to batch_key() -- lockstep-batchable objects are correlated
-  /// by construction -- but can be broader: correlated objects need not be
-  /// kernel-batchable. Wrappers must forward it.
+  /// Correlation-group key: objects sharing a non-empty key are expected
+  /// to move together (same rate tick, same model family). Defaults to
+  /// batch_key() -- lockstep-batchable objects are correlated by
+  /// construction. No operator reads it; wrappers forward it.
   virtual std::string correlation_key() const { return batch_key(); }
 };
 

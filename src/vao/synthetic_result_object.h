@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 
 #include "vao/result_object.h"
 
@@ -35,10 +34,6 @@ class SyntheticResultObject : public ResultObject {
     /// When false, est_bounds() deliberately predicts no progress, to
     /// exercise operators' fallback paths.
     bool honest_estimates = true;
-    /// Correlation-group key reported by correlation_key() (sentinel
-    /// re-ranking); empty = ungrouped. Never used as a batch_key, so
-    /// synthetic objects stay out of the SoA kernel dispatch.
-    std::string correlation_key;
     WorkMeter* meter = nullptr;
   };
 
@@ -72,10 +67,6 @@ class SyntheticResultObject : public ResultObject {
   int iterations() const override { return iterations_; }
 
   std::uint64_t traditional_cost() const override { return est_cost_now_; }
-
-  std::string correlation_key() const override {
-    return config_.correlation_key;
-  }
 
   double true_value() const { return config_.true_value; }
 

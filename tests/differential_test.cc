@@ -82,41 +82,6 @@ TEST(DifferentialTest, CatchesSwappedMinMax) {
       << "MAX answered as MIN went undetected across the sweep";
 }
 
-TEST(DifferentialTest, CatchesFlippedCalibrationSign) {
-  // Planted defect in the predictive-planning path: corrections applied
-  // with the wrong sign make corrected estimates WORSE than raw ones. The
-  // sweep's calibration audit (two passes over a lying-estimate workload
-  // sharing one CostHistory) must flag it on the very first seed.
-  DifferentialOptions options;
-  options.seeds = 2;
-  options.kinds.clear();
-  options.scheduler_policies.clear();
-  options.batch_ks.clear();
-  options.mutation = Mutation::kFlipCalibrationSign;
-  options.max_failures = 4;
-  DifferentialRunner runner(options);
-  const auto summary = runner.RunAll();
-  ASSERT_TRUE(summary.ok()) << summary.status();
-  ASSERT_FALSE(summary->ok())
-      << "a sign-flipped calibration correction went undetected";
-  bool audit_failed = false;
-  for (const DifferentialFailure& failure : summary->failures) {
-    if (failure.detail.find("calibration audit") != std::string::npos) {
-      audit_failed = true;
-    }
-  }
-  EXPECT_TRUE(audit_failed)
-      << "the flip was caught, but not by the calibration audit";
-  // The same sweep without the mutation is clean.
-  options.mutation = Mutation::kNone;
-  DifferentialRunner clean(options);
-  const auto clean_summary = clean.RunAll();
-  ASSERT_TRUE(clean_summary.ok()) << clean_summary.status();
-  for (const DifferentialFailure& failure : clean_summary->failures) {
-    ADD_FAILURE() << failure.repro << "\n  " << failure.detail;
-  }
-}
-
 TEST(DifferentialTest, ShrinkingProducesAReplayableSeed) {
   DifferentialOptions options;
   options.seeds = 4;

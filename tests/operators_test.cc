@@ -3,13 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "obs/trace.h"
-#include "operators/cost_feedback.h"
+#include "operators/iteration_strategy.h"
 #include "operators/iteration_task.h"
 #include "operators/min_max.h"
 #include "operators/operator_base.h"
@@ -546,75 +544,73 @@ TEST(SumAveHeapTest, SiblingConvergedObjectsAreNeverRefinedAgain) {
   EXPECT_TRUE(outcome.sum_bounds.Contains(560.0)) << outcome.sum_bounds;
 }
 
-// A feedback store that predicts every object costs 4x its estimate and
-// tightens half as much as predicted, so every candidate is corrected.
-class FixedRatioFeedback : public CostFeedback {
- public:
-  void Record(std::uint64_t, int, const CostObservation&) override {}
-  bool Predict(std::uint64_t, int, double* cost_ratio,
-               double* shrink_ratio) const override {
-    *cost_ratio = 4.0;
-    *shrink_ratio = 0.5;
-    return true;
-  }
-};
+// ---------------------------------------------------------------------------
+// Greedy tie-breaking
 
-// The decision trace's raw_score is the pick's score on its uncorrected
-// estimates. Without a correction that is the score itself, so the choose
-// step keeps no raw copy of the candidates; under a correction the two
-// differ and raw_score still reads the uncorrected benefit/cost.
-std::vector<obs::TraceEvent> SumAveDecisions(StrategyKind strategy,
-                                             CostFeedback* feedback) {
-  const obs::TraceMode previous = obs::CurrentTraceMode();
-  obs::SetTraceMode(obs::TraceMode::kFlight);
-  obs::ClearTrace();
-  std::vector<FakeResultObject> objects;
-  for (const double v : {90.0, 100.0, 110.0, 120.0}) {
-    objects.push_back(MakeFake(v, 5.0 + v / 20.0));
+TEST(GreedyTieBreakTest, EqualScoresChooseTheFirstEnumeratedCandidate) {
+  // Four candidates with identical benefit/cost: the pick must be the
+  // first enumerated one, for every greedy-family strategy.
+  std::vector<IterationCandidate> candidates;
+  for (std::size_t i = 0; i < 4; ++i) {
+    IterationCandidate c;
+    c.index = 10 + i;  // input indices need not start at 0
+    c.benefit = 2.0;
+    c.cost = 4.0;
+    c.width = 1.0;
+    candidates.push_back(c);
   }
-  std::vector<vao::ResultObject*> ptrs;
-  for (auto& o : objects) ptrs.push_back(&o);
-  SumAveOptions options;
-  options.epsilon = 0.5;
-  options.strategy = strategy;
-  options.feedback = feedback;
-  const auto outcome =
-      EvaluateTask<SumAveIterationTask>(options, ptrs, SumWeights(4));
-  std::vector<obs::TraceEvent> decisions;
-  for (const obs::TraceEvent& e : obs::SnapshotTrace().events) {
-    if (e.kind == obs::TraceEvent::Kind::kDecision) decisions.push_back(e);
-  }
-  obs::SetTraceMode(previous);
-  EXPECT_TRUE(outcome.ok()) << outcome.status();
-  return decisions;
-}
-
-TEST(DecisionTraceTest, GreedyRawScoreIsTheScore) {
-  const std::vector<obs::TraceEvent> decisions =
-      SumAveDecisions(StrategyKind::kGreedy, nullptr);
-  ASSERT_FALSE(decisions.empty());
-  for (const obs::TraceEvent& e : decisions) {
-    EXPECT_GT(e.score, 0.0);
-    EXPECT_EQ(e.raw_score, e.score) << "object " << e.object_index;
+  for (const StrategyKind kind :
+       {StrategyKind::kGreedy, StrategyKind::kBatchGreedy}) {
+    auto strategy = MakeStrategy(kind, nullptr);
+    ASSERT_TRUE(strategy.ok());
+    EXPECT_EQ(candidates[(*strategy)->Choose(candidates)].index, 10u)
+        << StrategyKindName(kind);
   }
 }
 
-TEST(DecisionTraceTest, CorrectedRawScoreIsTheUncorrectedBenefitPerCost) {
-  FixedRatioFeedback feedback;
-  const std::vector<obs::TraceEvent> decisions =
-      SumAveDecisions(StrategyKind::kCalibratedGreedy, &feedback);
-  ASSERT_FALSE(decisions.empty());
-  int differing = 0;
-  for (const obs::TraceEvent& e : decisions) {
-    if (e.raw_score != e.score) ++differing;
-    // The SUM/AVE benefit at weight 1 on the picked object's own raw
-    // estimates, per raw estimated cost.
-    const double raw_benefit = std::max(
-        0.0, 1.0 * ((e.est_lo - e.lo_before) + (e.hi_before - e.est_hi)));
-    EXPECT_EQ(e.raw_score, raw_benefit / std::max(e.est_cost, 1.0))
-        << "object " << e.object_index;
+TEST(GreedyTieBreakTest, ZeroBenefitFallbackBreaksWidthTiesByOrder) {
+  // All benefits zero, all widths equal: the width fallback must also pick
+  // the first enumerated candidate.
+  std::vector<IterationCandidate> candidates;
+  for (std::size_t i = 0; i < 3; ++i) {
+    IterationCandidate c;
+    c.index = 5 - i;  // descending input indices: order, not index, wins
+    c.benefit = 0.0;
+    c.cost = 1.0;
+    c.width = 2.5;
+    candidates.push_back(c);
   }
-  EXPECT_GT(differing, 0);
+  auto strategy = MakeStrategy(StrategyKind::kGreedy, nullptr);
+  ASSERT_TRUE(strategy.ok());
+  EXPECT_EQ(candidates[(*strategy)->Choose(candidates)].index, 5u);
+}
+
+TEST(GreedyTieBreakTest, ChooseBatchRanksTiesStablyAtEveryK) {
+  // Two score classes with internal ties: ranking must be score-descending
+  // with enumeration order breaking ties, at every batch K, and the top-1
+  // must equal the scalar greedy pick.
+  std::vector<IterationCandidate> candidates;
+  const double benefits[] = {1.0, 3.0, 1.0, 3.0, 1.0};
+  for (std::size_t i = 0; i < 5; ++i) {
+    IterationCandidate c;
+    c.index = i;
+    c.benefit = benefits[i];
+    c.cost = 1.0;
+    c.width = 1.0;
+    candidates.push_back(c);
+  }
+  auto batch = MakeStrategy(StrategyKind::kBatchGreedy, nullptr);
+  auto greedy = MakeStrategy(StrategyKind::kGreedy, nullptr);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(greedy.ok());
+  const std::vector<std::size_t> expected = {1, 3, 0, 2, 4};
+  for (std::size_t k = 1; k <= 5; ++k) {
+    std::vector<std::size_t> chosen;
+    (*batch)->ChooseBatch(candidates, k, &chosen);
+    ASSERT_EQ(chosen.size(), k);
+    for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(chosen[i], expected[i]);
+    EXPECT_EQ(chosen.front(), (*greedy)->Choose(candidates));
+  }
 }
 
 TEST(SumWeightsTest, Helpers) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "engine/sql_parser.h"
 #include "finance/bond_model.h"
 #include "obs/execution_report.h"
+#include "obs/json_util.h"
 #include "server/admission.h"
 #include "server/dispatcher.h"
 #include "server/frame.h"
@@ -1044,6 +1047,83 @@ TEST_F(ServerTest, InspectCoversServerQueryAndTenantScopes) {
   EXPECT_EQ(missing[0].rfind("ERR not-found ", 0), 0u) << missing[0];
   EXPECT_NE(missing[0].find("neither a query on this session nor a tenant"),
             std::string::npos);
+}
+
+TEST_F(ServerTest, InspectEtaExtrapolatesTheReportedTrajectory) {
+  // A budget-starved SUM stays unconverged tick after tick. Four rival
+  // queries in another group take most of the tick budget, and one is
+  // withdrawn per tick, so the SUM's budget share -- and with it the
+  // answer width -- moves every tick.
+  ServerConfig config;
+  config.dispatcher.tick_budget = 100000;
+  config.dispatcher.shed_after_misses = 0;
+  config.dispatcher.health.enabled = true;
+  config.dispatcher.health.ticks_per_epoch = 1;
+  auto server = MakeServer(config);
+  const std::uint64_t session = server->OpenSession();
+  Send(*server, session, "HELLO desk");
+  ASSERT_EQ(Send(*server, session,
+                 "REGISTER q1 SELECT SUM(bond_model(rate, bond_index)) "
+                 "FROM bd PRECISION 0.05")[0],
+            "OK REGISTER q1");
+  constexpr int kRivals = 4;
+  for (int r = 0; r < kRivals; ++r) {
+    const std::string id = "rival" + std::to_string(r);
+    ASSERT_EQ(Send(*server, session,
+                   "REGISTER " + id +
+                       " SELECT MAX(bond_model(rate, position)) FROM bd "
+                       "PRECISION 0.01")[0],
+              "OK REGISTER " + id);
+  }
+  constexpr int kTicks = 6;
+  for (int t = 0; t < kTicks; ++t) {
+    if (t > 0 && t <= kRivals) {
+      Send(*server, session, "WITHDRAW rival" + std::to_string(t - 1));
+    }
+    for (const std::string& reply : Send(*server, session, "TICK 0.05")) {
+      if (reply.rfind("RESULT q1 ", 0) == 0) {
+        EXPECT_NE(reply.find("converged=0"), std::string::npos) << reply;
+      }
+    }
+  }
+
+  const auto replies = Send(*server, session, "INSPECT q1");
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_EQ(replies[0].rfind("INSPECT ", 0), 0u) << replies[0];
+  const auto root = obs::json::Parse(replies[0].substr(8));
+  ASSERT_TRUE(root.ok()) << root.status() << "\n" << replies[0];
+  const auto queries = obs::json::Child(**root, "queries");
+  ASSERT_TRUE(queries.ok()) << queries.status();
+  ASSERT_EQ((*queries)->array.size(), 1u);
+  const obs::json::JsonValue& query = *(*queries)->array[0];
+  const auto epsilon = obs::json::GetDouble(query, "epsilon");
+  const auto eta = obs::json::Child(query, "eta");
+  const auto trajectory = obs::json::Child(query, "trajectory");
+  ASSERT_TRUE(epsilon.ok() && eta.ok() && trajectory.ok()) << replies[0];
+  std::vector<double> widths;
+  for (const auto& sample : (*trajectory)->array) {
+    const auto width = obs::json::GetDouble(*sample, "width");
+    ASSERT_TRUE(width.ok()) << width.status();
+    widths.push_back(*width);
+  }
+  ASSERT_EQ(widths.size(), static_cast<std::size_t>(kTicks));
+
+  // The ETA is the trajectory's own fit: the mean per-tick log-width
+  // shrink over the last <= 8 widths, extrapolated from the last width
+  // down to epsilon.
+  const std::size_t n = std::min<std::size_t>(widths.size(), 8);
+  const double first = widths[widths.size() - n];
+  const double last = widths.back();
+  ASSERT_GT(last, *epsilon);
+  const double per_tick =
+      (std::log(first) - std::log(last)) / static_cast<double>(n - 1);
+  ASSERT_GT(per_tick, 0.0) << replies[0];
+  const auto known = obs::json::GetBool(**eta, "known");
+  const auto ticks = obs::json::GetDouble(**eta, "ticks");
+  ASSERT_TRUE(known.ok() && ticks.ok()) << replies[0];
+  EXPECT_TRUE(*known);
+  const double expected = std::log(last / *epsilon) / per_tick;
+  EXPECT_NEAR(*ticks, expected, 1e-6 * expected) << replies[0];
 }
 
 TEST_F(ServerTest, InspectWithHealthPlaneDisabledIsFailedPrecondition) {

@@ -57,10 +57,6 @@ struct DecisionAgg {
   double est_cost_sum = 0.0;
   double actual_cost_sum = 0.0;
   double score_sum = 0.0;
-  double raw_score_sum = 0.0;
-  /// Decisions where the calibration-corrected score differs from the raw
-  /// one -- i.e. a correction changed (or could have changed) the pick.
-  std::uint64_t corrected = 0;
 };
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -151,18 +147,11 @@ Status InspectTrace(const std::string& path, std::size_t top) {
           !score.ok()) {
         return Status::InvalidArgument("decision event missing payload");
       }
-      // Optional: traces written before predictive planning landed have no
-      // raw_score field; treat those decisions as uncorrected.
-      auto raw_score = GetDouble(*args.value(), "raw_score");
-      const double raw =
-          raw_score.ok() ? raw_score.value() : score.value();
       DecisionAgg& agg = decisions[name.value() + "/" + phase.value()];
       agg.count += 1;
       agg.est_cost_sum += est_cost.value();
       agg.actual_cost_sum += actual_cost.value();
       agg.score_sum += score.value();
-      agg.raw_score_sum += raw;
-      if (raw != score.value()) agg.corrected += 1;
     } else {
       ++instants;
     }
@@ -207,16 +196,14 @@ Status InspectTrace(const std::string& path, std::size_t top) {
   }
 
   std::printf("\nDecision histogram (per operator/phase):\n");
-  std::printf("%-28s %10s %14s %14s %12s %12s %10s\n", "op/phase", "count",
-              "mean est", "mean actual", "mean score", "mean raw",
-              "corrected");
+  std::printf("%-28s %10s %14s %14s %12s\n", "op/phase", "count",
+              "mean est", "mean actual", "mean score");
   for (const auto& [key, agg] : decisions) {
     const double n = static_cast<double>(agg.count);
-    std::printf("%-28s %10llu %14.3f %14.3f %12.4f %12.4f %10llu\n",
-                key.c_str(), static_cast<unsigned long long>(agg.count),
+    std::printf("%-28s %10llu %14.3f %14.3f %12.4f\n", key.c_str(),
+                static_cast<unsigned long long>(agg.count),
                 agg.est_cost_sum / n, agg.actual_cost_sum / n,
-                agg.score_sum / n, agg.raw_score_sum / n,
-                static_cast<unsigned long long>(agg.corrected));
+                agg.score_sum / n);
   }
   return Status::OK();
 }
